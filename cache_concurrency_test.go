@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -46,6 +47,12 @@ type mutRecord struct {
 // least that — catching any window where an invalidation sweep lags the
 // epoch install or a racing store resurrects a pre-mutation answer. The
 // test is goroutine-leak-checked.
+//
+// The mutators run in rounds: after each round both wait at a barrier
+// until the queriers have completed quietQueries more queries. Without
+// it the mutators can finish every mutation before the queriers ask the
+// same question twice, and the cache-hit assertion would depend on the
+// schedule rather than on the cache.
 func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -76,11 +83,16 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 	var logMu sync.Mutex
 	var mutLog []mutRecord
 
-	const mutations = 80
+	const (
+		rounds         = 10
+		roundMutations = 8 // per mutator, so each mutator makes 80
+		quietQueries   = 32
+	)
 	ctx := context.Background()
 	stop := make(chan struct{})
 	errc := make(chan error, 16)
 	var qwg, mwg sync.WaitGroup
+	var completed atomic.Int64 // queries the queriers have checked
 
 	for g := 0; g < 4; g++ {
 		qwg.Add(1)
@@ -120,16 +132,17 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 					errc <- fmt.Errorf("stale cache serve: answer epoch %d < last affecting mutation epoch %d", served, floor)
 					return
 				}
+				completed.Add(1)
 			}
 		}(int64(100 + g))
 	}
 
 	// Product mutator: inserts and deletes, logging the touched row.
-	mwg.Add(1)
-	go func() {
+	productRNG := rand.New(rand.NewSource(200))
+	productRound := func() {
 		defer mwg.Done()
-		rng := rand.New(rand.NewSource(200))
-		for i := 0; i < mutations; i++ {
+		rng := productRNG
+		for i := 0; i < roundMutations; i++ {
 			logMu.Lock()
 			if rng.Intn(2) == 0 || ix.NumProducts() < 50 {
 				p := randProduct(rng, 3, 1.0)
@@ -154,14 +167,14 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 			}
 			logMu.Unlock()
 		}
-	}()
+	}
 
 	// Preference mutator: every preference mutation affects every query.
-	mwg.Add(1)
-	go func() {
+	prefRNG := rand.New(rand.NewSource(300))
+	prefRound := func() {
 		defer mwg.Done()
-		rng := rand.New(rand.NewSource(300))
-		for i := 0; i < mutations; i++ {
+		rng := prefRNG
+		for i := 0; i < roundMutations; i++ {
 			logMu.Lock()
 			var err error
 			if rng.Intn(2) == 0 || ix.NumPreferences() < 30 {
@@ -177,9 +190,21 @@ func TestCacheConcurrencyNoStaleEpoch(t *testing.T) {
 			mutLog = append(mutLog, mutRecord{seq: ix.Epoch(), row: nil})
 			logMu.Unlock()
 		}
-	}()
+	}
 
-	mwg.Wait()
+	// Each round races both mutators against the queriers, then holds
+	// the mutators until the queriers have made progress. A querier that
+	// failed stops counting, so the wait also ends on a reported error.
+	for r := 0; r < rounds && len(errc) == 0; r++ {
+		mwg.Add(2)
+		go productRound()
+		go prefRound()
+		mwg.Wait()
+		target := completed.Load() + quietQueries
+		for completed.Load() < target && len(errc) == 0 {
+			runtime.Gosched()
+		}
+	}
 	close(stop)
 	qwg.Wait()
 	select {

@@ -241,3 +241,58 @@ func TestIndexMetadataEpoch(t *testing.T) {
 		t.Fatalf("index epoch = %d", ix.Epoch())
 	}
 }
+
+// metricValue returns the value of an unlabelled series in a classic
+// /metrics scrape.
+func metricValue(t *testing.T, body, name string) int {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s: bad value %q", name, v)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s missing from /metrics:\n%s", name, body)
+	return 0
+}
+
+// TestSingleVectorInsertIsIncremental pins that a single-vector POST
+// to /v1/products or /v1/preferences takes the incremental mutation
+// path under a live cache and subscription: no cache flush, no full
+// subscription recompute, one diff pass per request.
+func TestSingleVectorInsertIsIncremental(t *testing.T) {
+	s := smallServer(t, Config{CacheSize: 64})
+	if rec := post(t, s, "/v1/subscriptions", map[string]interface{}{
+		"kind": "reverse-kranks", "product": 7, "k": 3,
+	}); rec.Code != http.StatusCreated {
+		t.Fatalf("subscribe: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := post(t, s, "/v1/reverse-topk", map[string]interface{}{"product": 7, "k": 5}); rec.Code != http.StatusOK {
+		t.Fatalf("query: %d %s", rec.Code, rec.Body.String())
+	}
+
+	for i, req := range []struct {
+		path string
+		body map[string]interface{}
+	}{
+		{"/v1/products", map[string]interface{}{"product": []float64{0.2, 0.3, 0.4}}},
+		{"/v1/preferences", map[string]interface{}{"preference": []float64{0.2, 0.3, 0.5}}},
+	} {
+		if rec := post(t, s, req.path, req.body); rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", req.path, rec.Code, rec.Body.String())
+		}
+		body := getMetricsBody(t, s)
+		if n := metricValue(t, body, "gridrank_cache_flushes_total"); n != 0 {
+			t.Errorf("after POST %s: gridrank_cache_flushes_total = %d, want 0", req.path, n)
+		}
+		if n := metricValue(t, body, "gridrank_sub_full_passes_total"); n != 0 {
+			t.Errorf("after POST %s: gridrank_sub_full_passes_total = %d, want 0", req.path, n)
+		}
+		if n := metricValue(t, body, "gridrank_sub_diff_passes_total"); n != i+1 {
+			t.Errorf("after POST %s: gridrank_sub_diff_passes_total = %d, want %d", req.path, n, i+1)
+		}
+	}
+}

@@ -13,7 +13,11 @@ package gridrank
 // O(|set| + groups·d) flat copies instead of the O(|P|·d + |W|·d)
 // re-approximation plus (n+1)² table a full construction pays. The
 // batch operations rebuild once per call, amortizing the construction
-// over the whole batch.
+// over the whole batch — except a batch of one, which takes the
+// single-element path: a rebuild also flushes the answer cache and
+// recomputes every subscription from scratch, and those hooks, not the
+// construction, dominate a one-element mutation under live monitors.
+// Its flight digest still names the batch operation.
 //
 // Range policy. The grid's point range must always equal what a fresh
 // New over the current data would choose, because rangeP is persisted
@@ -117,8 +121,8 @@ func nextPointEpoch(e *epoch, pm *vec.Matrix, derive func() *algo.GIR) (ne *epoc
 
 // storeRebuilt publishes a from-scratch epoch over (pm, wm), flushes
 // the answer cache and recomputes subscriptions — the shared tail of
-// every batch mutation. Hook order is fixed: cache first, then the
-// subscription fan-out, both against the epoch just stored.
+// every multi-element batch mutation. Hook order is fixed: cache first,
+// then the subscription fan-out, both against the epoch just stored.
 // op and start feed the install's flight-recorder digest.
 func (ix *Index) storeRebuilt(e *epoch, pm, wm *vec.Matrix, op flight.Op, start time.Time) {
 	pre := ix.flightProbe()
@@ -149,6 +153,13 @@ func (ix *Index) InsertProductCtx(ctx context.Context, p Vector) (int, error) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	return ix.insertProduct(p, flight.OpInsertProduct, start), nil
+}
+
+// insertProduct derives and publishes the epoch appending the validated
+// product p, runs the cache and subscription hooks and records the
+// install under op (ix.mu held). It returns the new product's id.
+func (ix *Index) insertProduct(p Vector, op flight.Op, start time.Time) int {
 	pre := ix.flightProbe()
 	e := ix.snap()
 	id := e.pm.Len()
@@ -157,8 +168,8 @@ func (ix *Index) InsertProductCtx(ctx context.Context, p Vector) (int, error) {
 	ix.cur.Store(ne)
 	ix.cacheOnProduct(ne.seq, p)
 	ix.subOnProduct(ne, p, true)
-	ix.recordMutation(flight.OpInsertProduct, start, ne.seq, derived, pre)
-	return id, nil
+	ix.recordMutation(op, start, ne.seq, derived, pre)
+	return id
 }
 
 // DeleteProduct removes product i. Products after i shift down by one
@@ -176,7 +187,6 @@ func (ix *Index) DeleteProductCtx(ctx context.Context, i int) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	pre := ix.flightProbe()
 	e := ix.snap()
 	if i < 0 || i >= e.pm.Len() {
 		return fmt.Errorf("%w: product %d not in [0, %d)", ErrOutOfRange, i, e.pm.Len())
@@ -184,6 +194,14 @@ func (ix *Index) DeleteProductCtx(ctx context.Context, i int) error {
 	if e.pm.Len() == 1 {
 		return fmt.Errorf("%w: the index holds one product", ErrLastElement)
 	}
+	ix.deleteProduct(e, i, flight.OpDeleteProduct, start)
+	return nil
+}
+
+// deleteProduct derives and publishes the epoch after e without product
+// i, which the caller has validated against e (ix.mu held, e current).
+func (ix *Index) deleteProduct(e *epoch, i int, op flight.Op, start time.Time) {
+	pre := ix.flightProbe()
 	// The removed row's view into e's storage stays valid after the new
 	// epoch is built — epochs are immutable — so the cache sweep can use
 	// it directly.
@@ -193,8 +211,7 @@ func (ix *Index) DeleteProductCtx(ctx context.Context, i int) error {
 	ix.cur.Store(ne)
 	ix.cacheOnProduct(ne.seq, removed)
 	ix.subOnProduct(ne, removed, false)
-	ix.recordMutation(flight.OpDeleteProduct, start, ne.seq, derived, pre)
-	return nil
+	ix.recordMutation(op, start, ne.seq, derived, pre)
 }
 
 // InsertPreference appends preference w (non-negative weights summing
@@ -214,6 +231,12 @@ func (ix *Index) InsertPreferenceCtx(ctx context.Context, w Vector) (int, error)
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	return ix.insertPreference(w, flight.OpInsertPreference, start), nil
+}
+
+// insertPreference derives and publishes the epoch appending the
+// validated preference w (ix.mu held) and returns its id.
+func (ix *Index) insertPreference(w Vector, op flight.Op, start time.Time) int {
 	pre := ix.flightProbe()
 	e := ix.snap()
 	id := e.wm.Len()
@@ -237,8 +260,8 @@ func (ix *Index) InsertPreferenceCtx(ctx context.Context, w Vector) (int, error)
 	ix.cur.Store(ne)
 	ix.cacheOnPrefInsert(ne, id)
 	ix.subOnPrefInsert(ne, id)
-	ix.recordMutation(flight.OpInsertPreference, start, ne.seq, derived, pre)
-	return id, nil
+	ix.recordMutation(op, start, ne.seq, derived, pre)
+	return id
 }
 
 // DeletePreference removes preference i. Preferences after i shift
@@ -255,7 +278,6 @@ func (ix *Index) DeletePreferenceCtx(ctx context.Context, i int) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	pre := ix.flightProbe()
 	e := ix.snap()
 	if i < 0 || i >= e.wm.Len() {
 		return fmt.Errorf("%w: preference %d not in [0, %d)", ErrOutOfRange, i, e.wm.Len())
@@ -263,6 +285,15 @@ func (ix *Index) DeletePreferenceCtx(ctx context.Context, i int) error {
 	if e.wm.Len() == 1 {
 		return fmt.Errorf("%w: the index holds one preference", ErrLastElement)
 	}
+	ix.deletePreference(e, i, flight.OpDeletePreference, start)
+	return nil
+}
+
+// deletePreference derives and publishes the epoch after e without
+// preference i, which the caller has validated against e (ix.mu held,
+// e current).
+func (ix *Index) deletePreference(e *epoch, i int, op flight.Op, start time.Time) {
+	pre := ix.flightProbe()
 	oldCount := e.wm.Len()
 	wm := e.wm.WithRemoved(i)
 	ne := &epoch{
@@ -272,13 +303,13 @@ func (ix *Index) DeletePreferenceCtx(ctx context.Context, i int) error {
 	ix.cur.Store(ne)
 	ix.cacheOnPrefDelete(ne.seq, i, oldCount)
 	ix.subOnPrefDelete(ne, i, oldCount)
-	ix.recordMutation(flight.OpDeletePreference, start, ne.seq, true, pre)
-	return nil
+	ix.recordMutation(op, start, ne.seq, true, pre)
 }
 
 // InsertProducts appends products ps in order as one epoch and returns
 // the id of the first (the batch occupies consecutive ids from it). The
-// construction cost of the rebuild is paid once for the whole batch.
+// construction cost of the rebuild is paid once for the whole batch; a
+// batch of one takes InsertProduct's incremental path.
 func (ix *Index) InsertProducts(ps []Vector) (int, error) {
 	return ix.InsertProductsCtx(context.Background(), ps)
 }
@@ -299,6 +330,9 @@ func (ix *Index) InsertProductsCtx(ctx context.Context, ps []Vector) (int, error
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if len(ps) == 1 {
+		return ix.insertProduct(ps[0], flight.OpInsertProducts, start), nil
+	}
 	e := ix.snap()
 	first := e.pm.Len()
 	rows := make([]Vector, 0, first+len(ps))
@@ -311,7 +345,8 @@ func (ix *Index) InsertProductsCtx(ctx context.Context, ps []Vector) (int, error
 // DeleteProducts removes the products with the given current-epoch ids
 // as one epoch; survivors keep their order and renumber down past the
 // gaps, matching a fresh build over the remaining data. Duplicate ids
-// are rejected, and at least one product must survive.
+// are rejected, and at least one product must survive. A single id
+// takes DeleteProduct's incremental path.
 func (ix *Index) DeleteProducts(ids []int) error {
 	return ix.DeleteProductsCtx(context.Background(), ids)
 }
@@ -329,13 +364,18 @@ func (ix *Index) DeleteProductsCtx(ctx context.Context, ids []int) error {
 	if err != nil {
 		return err
 	}
+	if len(ids) == 1 {
+		ix.deleteProduct(e, ids[0], flight.OpDeleteProducts, start)
+		return nil
+	}
 	rows := surviving(e.pm, drop)
 	ix.storeRebuilt(e, vec.NewMatrix(rows), e.wm, flight.OpDeleteProducts, start)
 	return nil
 }
 
 // InsertPreferences appends preferences ws in order as one epoch and
-// returns the id of the first.
+// returns the id of the first. A batch of one takes InsertPreference's
+// incremental path.
 func (ix *Index) InsertPreferences(ws []Vector) (int, error) {
 	return ix.InsertPreferencesCtx(context.Background(), ws)
 }
@@ -356,6 +396,9 @@ func (ix *Index) InsertPreferencesCtx(ctx context.Context, ws []Vector) (int, er
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if len(ws) == 1 {
+		return ix.insertPreference(ws[0], flight.OpInsertPreferences, start), nil
+	}
 	e := ix.snap()
 	first := e.wm.Len()
 	rows := make([]Vector, 0, first+len(ws))
@@ -366,7 +409,8 @@ func (ix *Index) InsertPreferencesCtx(ctx context.Context, ws []Vector) (int, er
 }
 
 // DeletePreferences removes the preferences with the given
-// current-epoch ids as one epoch; at least one must survive.
+// current-epoch ids as one epoch; at least one must survive. A single
+// id takes DeletePreference's incremental path.
 func (ix *Index) DeletePreferences(ids []int) error {
 	return ix.DeletePreferencesCtx(context.Background(), ids)
 }
@@ -383,6 +427,10 @@ func (ix *Index) DeletePreferencesCtx(ctx context.Context, ids []int) error {
 	drop, err := checkBatchIDs(ids, e.wm.Len(), "preference")
 	if err != nil {
 		return err
+	}
+	if len(ids) == 1 {
+		ix.deletePreference(e, ids[0], flight.OpDeletePreferences, start)
+		return nil
 	}
 	rows := surviving(e.wm, drop)
 	ix.storeRebuilt(e, e.pm, vec.NewMatrix(rows), flight.OpDeletePreferences, start)

@@ -511,3 +511,158 @@ func TestBatchRejectionIsAllOrNothing(t *testing.T) {
 		t.Fatalf("valid batch did not flush the cache: %+v", cs)
 	}
 }
+
+// TestBatchOfOneMatchesSingle drives twin indexes — answer cache and
+// live monitors of both kinds on each — through the same random history,
+// one through the batch methods with one element per call and the other
+// through the single-element methods. A batch of one must take the
+// incremental path: the same ids, epochs, answers, Save bytes and
+// subscription event streams, the same cache and subscription counters,
+// no cache flush and no full subscription recompute.
+func TestBatchOfOneMatchesSingle(t *testing.T) {
+	const d = 4
+	P, err := GenerateProducts(81, Clustered, 150, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	W, err := GeneratePreferences(82, Uniform, 90, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &Options{GridPartitions: 12, CacheSize: 64}
+	batch, err := New(P, W, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := New(P, W, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := []Vector{P[3], P[17], P[40], P[99]}
+	var bSubs, sSubs []*Subscription
+	for i, q := range pool {
+		kind, k := SubReverseTopK, 10
+		if i%2 == 1 {
+			kind, k = SubReverseKRanks, 5
+		}
+		for _, side := range []struct {
+			ix   *Index
+			subs *[]*Subscription
+		}{{batch, &bSubs}, {single, &sSubs}} {
+			s, err := side.ix.Subscribe(q, k, kind, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			*side.subs = append(*side.subs, s)
+		}
+	}
+	drain := func(s *Subscription) []SubEvent {
+		var out []SubEvent
+		for {
+			select {
+			case ev := <-s.Events():
+				out = append(out, ev)
+			default:
+				return out
+			}
+		}
+	}
+
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(83))
+	for step := 0; step < 40; step++ {
+		var name string
+		var idB, idS int
+		var errB, errS error
+		switch op := rng.Intn(4); op {
+		case 0:
+			// Scale beyond 1 sometimes grows the point range and forces
+			// the single path's own rebuild.
+			p := randProduct(rng, d, []float64{0.9, 1.0, 1.4}[rng.Intn(3)])
+			name = "insert product"
+			idB, errB = batch.InsertProductsCtx(ctx, []Vector{p})
+			idS, errS = single.InsertProductCtx(ctx, p)
+		case 1:
+			i := rng.Intn(single.NumProducts())
+			name = "delete product"
+			errB = batch.DeleteProductsCtx(ctx, []int{i})
+			errS = single.DeleteProductCtx(ctx, i)
+		case 2:
+			w := randPreference(rng, d)
+			name = "insert preference"
+			idB, errB = batch.InsertPreferencesCtx(ctx, []Vector{w})
+			idS, errS = single.InsertPreferenceCtx(ctx, w)
+		case 3:
+			i := rng.Intn(single.NumPreferences())
+			name = "delete preference"
+			errB = batch.DeletePreferencesCtx(ctx, []int{i})
+			errS = single.DeletePreferenceCtx(ctx, i)
+		}
+		if errB != nil || errS != nil {
+			t.Fatalf("step %d %s: batch err %v, single err %v", step, name, errB, errS)
+		}
+		if idB != idS || batch.Epoch() != single.Epoch() {
+			t.Fatalf("step %d %s: batch id %d epoch %d, single id %d epoch %d",
+				step, name, idB, batch.Epoch(), idS, single.Epoch())
+		}
+		for _, q := range pool {
+			tb, err := batch.ReverseTopKCtx(ctx, q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, err := single.ReverseTopKCtx(ctx, q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kb, err := batch.ReverseKRanksCtx(ctx, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks, err := single.ReverseKRanksCtx(ctx, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameInts(tb, ts) || !sameMatches(kb, ks) {
+				t.Fatalf("step %d %s: answers diverge for q=%v", step, name, q)
+			}
+		}
+		for i := range bSubs {
+			eb, es := drain(bSubs[i]), drain(sSubs[i])
+			if len(eb) != len(es) {
+				t.Fatalf("step %d %s: monitor %d emitted %v (batch) vs %v (single)", step, name, i, eb, es)
+			}
+			for j := range eb {
+				if eb[j] != es[j] {
+					t.Fatalf("step %d %s: monitor %d emitted %v (batch) vs %v (single)", step, name, i, eb, es)
+				}
+			}
+		}
+	}
+
+	var bb, sb bytes.Buffer
+	if _, err := batch.WriteTo(&bb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := single.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bb.Bytes(), sb.Bytes()) {
+		t.Fatal("Save bytes differ between the batch-of-one and single paths")
+	}
+	cacheB, _ := batch.CacheStats()
+	cacheS, _ := single.CacheStats()
+	if cacheB != cacheS || cacheB.Flushes != 0 {
+		t.Fatalf("cache stats: batch %+v, single %+v (want equal, 0 flushes)", cacheB, cacheS)
+	}
+	if cacheB.Hits == 0 || cacheB.Invalidations == 0 {
+		t.Fatalf("history never exercised the cache: %+v", cacheB)
+	}
+	subB, subS := batch.SubscriptionStats(), single.SubscriptionStats()
+	if subB != subS || subB.FullPasses != 0 {
+		t.Fatalf("subscription stats: batch %+v, single %+v (want equal, 0 full passes)", subB, subS)
+	}
+	if subB.DiffPasses == 0 || subB.Events == 0 {
+		t.Fatalf("history never exercised the monitors: %+v", subB)
+	}
+}

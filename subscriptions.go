@@ -11,9 +11,11 @@ package gridrank
 // pass's soundness.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"gridrank/internal/algo"
 	"gridrank/internal/flight"
 	"gridrank/internal/sub"
 	"gridrank/internal/trace"
@@ -220,11 +222,13 @@ func subSnapshot(e *epoch) sub.Snapshot {
 			return e.gir.RankOf(wi, q, cutoff)
 		},
 		Pref: e.wm.Row,
+		// A background context cannot cancel, so the error is always nil.
 		TopKSet: func(q []float64, k int) []int {
-			return e.gir.ReverseTopK(q, k, nil)
+			set, _ := e.gir.ReverseTopKOpts(context.Background(), q, k, algo.QueryOpts{})
+			return set
 		},
 		KRanksSet: func(q []float64, k int) []sub.Member {
-			ms := e.gir.ReverseKRanks(q, k, nil)
+			ms, _ := e.gir.ReverseKRanksOpts(context.Background(), q, k, algo.QueryOpts{})
 			out := make([]sub.Member, len(ms))
 			for i, m := range ms {
 				out[i] = sub.Member{Pref: m.WeightIndex, Rank: m.Rank}
