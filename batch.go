@@ -47,16 +47,6 @@ func (ix *Index) ReverseKRanksBatchCtx(ctx context.Context, queries []Vector, k,
 	})
 }
 
-// ReverseTopKBatch is ReverseTopKBatchCtx with a background context.
-func (ix *Index) ReverseTopKBatch(queries []Vector, k, workers int, opts ...QueryOption) []BatchResult[[]int] {
-	return ix.ReverseTopKBatchCtx(context.Background(), queries, k, workers, opts...)
-}
-
-// ReverseKRanksBatch is ReverseKRanksBatchCtx with a background context.
-func (ix *Index) ReverseKRanksBatch(queries []Vector, k, workers int, opts ...QueryOption) []BatchResult[[]Match] {
-	return ix.ReverseKRanksBatchCtx(context.Background(), queries, k, workers, opts...)
-}
-
 func runBatch[T any](ctx context.Context, queries []Vector, workers int, f func(Vector) (T, error)) []BatchResult[T] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -1,10 +1,14 @@
 package gridrank
 
 import (
+	"bytes"
 	"context"
-	"runtime"
+	"runtime/pprof"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func batchIndex(t *testing.T) (*Index, []Vector) {
@@ -28,8 +32,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 	ix, P := batchIndex(t)
 	queries := P[:40]
 	for _, workers := range []int{0, 1, 3, 64} {
-		rtk := ix.ReverseTopKBatch(queries, 15, workers)
-		rkr := ix.ReverseKRanksBatch(queries, 15, workers)
+		rtk := ix.ReverseTopKBatchCtx(context.Background(), queries, 15, workers)
+		rkr := ix.ReverseKRanksBatchCtx(context.Background(), queries, 15, workers)
 		if len(rtk) != len(queries) || len(rkr) != len(queries) {
 			t.Fatalf("workers=%d: wrong result count", workers)
 		}
@@ -67,9 +71,12 @@ func TestBatchMatchesSequential(t *testing.T) {
 // TestBatchPinsWorkerGoroutines pins the fix for worker multiplication:
 // a batch on an index configured with intra-query Parallelism used to
 // spawn workers × Parallelism goroutines (each per-query scan picked up
-// the index default underneath the batch's own pool). The batch now
-// forces sequential per-query scans, so the goroutine peak stays at the
-// batch worker count.
+// the index default underneath the batch's own pool). The batch forces
+// one-worker per-query scans, which run inline on the batch goroutines,
+// so no sharded-scan worker — a goroutine carrying the rrq_query pprof
+// label — may exist while the batch runs. Counting only those labeled
+// workers, not the process goroutine total, keeps runtime helpers out
+// of the measurement.
 func TestBatchPinsWorkerGoroutines(t *testing.T) {
 	P, err := GenerateProducts(41, Uniform, 4000, 6)
 	if err != nil {
@@ -85,63 +92,97 @@ func TestBatchPinsWorkerGoroutines(t *testing.T) {
 	}
 	queries := P[:48]
 	const batchWorkers = 4
-	baseline := runtime.NumGoroutine()
-	stop := make(chan struct{})
-	peakc := make(chan int, 1)
-	go func() {
-		peak := 0
-		for {
-			select {
-			case <-stop:
-				peakc <- peak
-				return
-			default:
-			}
-			if n := runtime.NumGoroutine(); n > peak {
-				peak = n
-			}
-		}
-	}()
-	res := ix.ReverseTopKBatchCtx(context.Background(), queries, 10, batchWorkers)
-	close(stop)
-	peak := <-peakc
-	for i := range res {
-		if res[i].Err != nil {
-			t.Fatalf("query %d: %v", i, res[i].Err)
+	var res []BatchResult[[]int]
+	peak := sampleScanWorkers(func() {
+		res = ix.ReverseTopKBatchCtx(context.Background(), queries, 10, batchWorkers)
+	})
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("query %d: %v", i, r.Err)
 		}
 	}
-	// baseline + the batch pool + the sampler, with a little slack for
-	// runtime helpers. The pre-fix behavior peaks at
-	// baseline + batchWorkers × Parallelism and trips this by a wide
-	// margin.
-	if limit := baseline + batchWorkers + 3; peak > limit {
-		t.Fatalf("goroutine peak %d during batch (baseline %d, limit %d): per-query scans multiplied the batch workers",
-			peak, baseline, limit)
+	if peak > 0 {
+		t.Fatalf("%d sharded-scan worker goroutines during the batch: per-query scans multiplied the batch workers", peak)
 	}
-	// An explicit per-query override still works and answers identically.
-	over := ix.ReverseTopKBatchCtx(context.Background(), queries[:8], 10, 2, WithWorkers(3))
-	for i := range over {
-		if over[i].Err != nil {
-			t.Fatalf("override query %d: %v", i, over[i].Err)
+	// An explicit per-query override still shards — the sampler sees
+	// its labeled workers, so the zero above is not a blind sampler —
+	// and answers identically.
+	deadline := time.Now().Add(10 * time.Second)
+	for seen := 0; seen == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no labeled scan worker seen during WithWorkers(3) batches")
 		}
-		want, err := ix.ReverseTopKCtx(context.Background(), queries[i], 10, WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(over[i].Value) {
-			t.Fatalf("override answers differ for query %d", i)
-		}
-		for j := range want {
-			if over[i].Value[j] != want[j] {
+		var over []BatchResult[[]int]
+		seen = sampleScanWorkers(func() {
+			over = ix.ReverseTopKBatchCtx(context.Background(), queries[:8], 10, 2, WithWorkers(3))
+		})
+		for i := range over {
+			if over[i].Err != nil {
+				t.Fatalf("override query %d: %v", i, over[i].Err)
+			}
+			want, err := ix.ReverseTopKCtx(context.Background(), queries[i], 10, WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(want, over[i].Value) {
 				t.Fatalf("override answers differ for query %d", i)
 			}
 		}
 	}
 }
 
+// sampleScanWorkers runs f while repeatedly sampling the goroutine
+// profile, and returns the largest number of goroutines carrying the
+// rrq_query label (the sharded GIR scan's workers) seen in one sample.
+// f must return normally (no t.Fatal), or the sampler never stops.
+func sampleScanWorkers(f func()) int {
+	stop := make(chan struct{})
+	peakc := make(chan int)
+	go func() {
+		peak := 0
+		for {
+			if n := scanWorkerGoroutines(); n > peak {
+				peak = n
+			}
+			select {
+			case <-stop:
+				peakc <- peak
+				return
+			default:
+			}
+		}
+	}()
+	f()
+	close(stop)
+	return <-peakc
+}
+
+// scanWorkerGoroutines counts the goroutines whose pprof labels include
+// rrq_query. The debug=1 goroutine profile prints one record per
+// distinct stack, headed "<count> @ <pcs>" and followed by its labels.
+func scanWorkerGoroutines() int {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		panic(err)
+	}
+	n := 0
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if !strings.Contains(rec, `"rrq_query":`) {
+			continue
+		}
+		if count, _, ok := strings.Cut(rec, " @ "); ok {
+			c, err := strconv.Atoi(strings.TrimSpace(count[strings.LastIndex(count, "\n")+1:]))
+			if err == nil {
+				n += c
+			}
+		}
+	}
+	return n
+}
+
 func TestBatchEmpty(t *testing.T) {
 	ix, _ := batchIndex(t)
-	if got := ix.ReverseTopKBatch(nil, 5, 4); len(got) != 0 {
+	if got := ix.ReverseTopKBatchCtx(context.Background(), nil, 5, 4); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
 	}
 }
@@ -149,7 +190,7 @@ func TestBatchEmpty(t *testing.T) {
 func TestBatchReportsPerQueryErrors(t *testing.T) {
 	ix, P := batchIndex(t)
 	queries := []Vector{P[0], {1, 2}, P[1]} // middle query has wrong dim
-	res := ix.ReverseTopKBatch(queries, 5, 2)
+	res := ix.ReverseTopKBatchCtx(context.Background(), queries, 5, 2)
 	if res[0].Err != nil || res[2].Err != nil {
 		t.Error("valid queries should succeed")
 	}

@@ -36,7 +36,6 @@
 package gridrank
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -132,8 +131,7 @@ type Options struct {
 	// them would oversubscribe the CPUs); values above 1 enable the
 	// intra-query worker pool for every query on this index. Answers are
 	// bit-identical at every setting — only the work distribution
-	// changes. Per-call overrides are available through the
-	// ReverseTopKParallel and ReverseKRanksParallel methods.
+	// changes. A per-call WithWorkers option overrides it.
 	Parallelism int
 
 	// CacheSize, when positive, attaches an answer cache holding up to
@@ -384,7 +382,7 @@ func New(products, preferences []Vector, opts *Options) (*Index, error) {
 		pm:     pm,
 		wm:     wm,
 		rangeP: rangeP,
-		gir:    algo.NewGIRFromMatricesLayout(pm, wm, rangeP, n, algo.Layout{PackedBits: packedBits}),
+		gir:    algo.NewGIRFromMatrices(pm, wm, rangeP, n, algo.Layout{PackedBits: packedBits}),
 	})
 	if opts != nil && opts.CacheSize > 0 {
 		if err := ix.EnableCache(opts.CacheSize, opts.CacheTTL); err != nil {
@@ -483,87 +481,6 @@ func (ix *Index) checkPreference(w Vector) error {
 		}
 	}
 	return nil
-}
-
-// The eight methods below are the pre-context query surface, kept as
-// wrappers so existing callers migrate without breakage. Each is a
-// single delegation to the context-first entrypoints in query.go; see
-// the migration table in README.md.
-
-// ReverseTopK returns, in ascending order, the indexes of every
-// preference vector that places q within its top-k products.
-//
-// Deprecated: Use ReverseTopKCtx, which adds cancellation, deadlines and
-// per-call options. This method is ReverseTopKCtx(context.Background(), q, k).
-func (ix *Index) ReverseTopK(q Vector, k int) ([]int, error) {
-	return ix.ReverseTopKCtx(context.Background(), q, k)
-}
-
-// ReverseTopKStats is ReverseTopK with work statistics.
-//
-// Deprecated: Use ReverseTopKCtx with WithStats.
-func (ix *Index) ReverseTopKStats(q Vector, k int) (res []int, s Stats, err error) {
-	res, err = ix.ReverseTopKCtx(context.Background(), q, k, WithStats(&s))
-	return res, s, err
-}
-
-// ReverseTopKParallel is ReverseTopK with an explicit intra-query worker
-// count overriding the index default: 1 forces the sequential scan,
-// values above 1 shard the preference set across that many goroutines,
-// and 0 means GOMAXPROCS. The answer is bit-identical for every worker
-// count; negative counts are rejected.
-//
-// Deprecated: Use ReverseTopKCtx with WithWorkers.
-func (ix *Index) ReverseTopKParallel(q Vector, k, workers int) ([]int, error) {
-	return ix.ReverseTopKCtx(context.Background(), q, k, WithWorkers(workers))
-}
-
-// ReverseTopKParallelStats is ReverseTopKParallel with work statistics.
-//
-// Deprecated: Use ReverseTopKCtx with WithWorkers and WithStats.
-func (ix *Index) ReverseTopKParallelStats(q Vector, k, workers int) (res []int, s Stats, err error) {
-	res, err = ix.ReverseTopKCtx(context.Background(), q, k, WithWorkers(workers), WithStats(&s))
-	return res, s, err
-}
-
-// ReverseKRanks returns the k preference vectors ranking q best, ordered
-// by ascending rank (ties toward smaller indexes). It never returns an
-// empty answer for k ≥ 1 — if fewer than k preferences exist, all are
-// returned.
-//
-// Deprecated: Use ReverseKRanksCtx, which adds cancellation, deadlines
-// and per-call options. This method is
-// ReverseKRanksCtx(context.Background(), q, k).
-func (ix *Index) ReverseKRanks(q Vector, k int) ([]Match, error) {
-	return ix.ReverseKRanksCtx(context.Background(), q, k)
-}
-
-// ReverseKRanksStats is ReverseKRanks with work statistics.
-//
-// Deprecated: Use ReverseKRanksCtx with WithStats.
-func (ix *Index) ReverseKRanksStats(q Vector, k int) (res []Match, s Stats, err error) {
-	res, err = ix.ReverseKRanksCtx(context.Background(), q, k, WithStats(&s))
-	return res, s, err
-}
-
-// ReverseKRanksParallel is ReverseKRanks with an explicit intra-query
-// worker count overriding the index default: 1 forces the sequential
-// scan, values above 1 shard the preference set across that many
-// goroutines, and 0 means GOMAXPROCS. The answer is bit-identical for
-// every worker count; negative counts are rejected.
-//
-// Deprecated: Use ReverseKRanksCtx with WithWorkers.
-func (ix *Index) ReverseKRanksParallel(q Vector, k, workers int) ([]Match, error) {
-	return ix.ReverseKRanksCtx(context.Background(), q, k, WithWorkers(workers))
-}
-
-// ReverseKRanksParallelStats is ReverseKRanksParallel with work
-// statistics.
-//
-// Deprecated: Use ReverseKRanksCtx with WithWorkers and WithStats.
-func (ix *Index) ReverseKRanksParallelStats(q Vector, k, workers int) (res []Match, s Stats, err error) {
-	res, err = ix.ReverseKRanksCtx(context.Background(), q, k, WithWorkers(workers), WithStats(&s))
-	return res, s, err
 }
 
 // AggMatch is one aggregate reverse rank result: a preference index and

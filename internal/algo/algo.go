@@ -92,6 +92,16 @@ func (d *domin) reset() {
 	clear(d.groupChecked)
 }
 
+// known returns how many distinct dominators of q the whole query has
+// found: the count shared across workers when the scan is sharded, the
+// buffer's own count otherwise.
+func (d *domin) known() int {
+	if d.shared != nil {
+		return int(d.shared.count.Load())
+	}
+	return d.count
+}
+
 // has reports whether point pj is a known dominator of q.
 func (d *domin) has(pj int) bool { return d.dominates[pj] }
 

@@ -36,10 +36,6 @@ func NewBBR(P, W []vec.Vector, capacity int) *BBR {
 // Name implements RTKAlgorithm.
 func (b *BBR) Name() string { return "BBR" }
 
-// PointTree exposes the P R-tree (for the harness's Table 3 / Figure 15a
-// instrumentation).
-func (b *BBR) PointTree() *rtree.Tree { return b.pt }
-
 // ReverseTopK descends the W-tree. For a node covering weight box
 // [wlo, whi]:
 //

@@ -20,20 +20,16 @@ import (
 // countdownCtx is a deterministic cancellation source: its Err() returns
 // nil for the first `after` calls and context.Canceled from then on, so
 // tests can pin exactly which poll observes the cancellation without any
-// timing dependence. Done() is non-nil so the scan's fast path (nil Done
-// means an uncancellable context) does not skip polling.
+// timing dependence.
 type countdownCtx struct {
-	context.Context // Background, for Deadline/Value
+	context.Context // Background, for Deadline/Done/Value
 	mu              sync.Mutex
 	calls, after    int
-	done            chan struct{}
 }
 
 func newCountdownCtx(after int) *countdownCtx {
-	return &countdownCtx{Context: context.Background(), after: after, done: make(chan struct{})}
+	return &countdownCtx{Context: context.Background(), after: after}
 }
-
-func (c *countdownCtx) Done() <-chan struct{} { return c.done }
 
 func (c *countdownCtx) Err() error {
 	c.mu.Lock()
@@ -64,14 +60,14 @@ func TestSequentialCancellationIsChunkBounded(t *testing.T) {
 		run  func(ctx context.Context, c *stats.Counters) error
 	}{
 		{"rtk", func(ctx context.Context, c *stats.Counters) error {
-			res, err := gir.ReverseTopKCtx(ctx, q, 10, 1, c)
+			res, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Counters: c})
 			if res != nil {
 				t.Errorf("cancelled RTK returned a partial answer: %v", res)
 			}
 			return err
 		}},
 		{"rkr", func(ctx context.Context, c *stats.Counters) error {
-			res, err := gir.ReverseKRanksCtx(ctx, q, 10, 1, c)
+			res, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Counters: c})
 			if res != nil {
 				t.Errorf("cancelled RKR returned a partial answer: %v", res)
 			}
@@ -93,7 +89,7 @@ func TestSequentialCancellationIsChunkBounded(t *testing.T) {
 			if processed == 0 {
 				t.Fatal("counters empty: cancelled work must still be accounted")
 			}
-			if bound := int64(cancelChunk) * int64(gir.NumPoints()); processed > bound {
+			if bound := int64(cancelChunk) * int64(gir.pm.Len()); processed > bound {
 				t.Fatalf("%d point decisions after cancellation, one-chunk bound is %d", processed, bound)
 			}
 		})
@@ -109,11 +105,11 @@ func TestParallelCancellationIsChunkBounded(t *testing.T) {
 		run  func(ctx context.Context, c *stats.Counters) error
 	}{
 		{"rtk", func(ctx context.Context, c *stats.Counters) error {
-			_, err := gir.ReverseTopKCtx(ctx, q, 10, workers, c)
+			_, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: c})
 			return err
 		}},
 		{"rkr", func(ctx context.Context, c *stats.Counters) error {
-			_, err := gir.ReverseKRanksCtx(ctx, q, 10, workers, c)
+			_, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: c})
 			return err
 		}},
 	} {
@@ -128,10 +124,10 @@ func TestParallelCancellationIsChunkBounded(t *testing.T) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			processed := c.Filtered + c.Refinements
-			if bound := 2 * int64(cancelChunk) * int64(gir.NumPoints()); processed > bound {
+			if bound := 2 * int64(cancelChunk) * int64(gir.pm.Len()); processed > bound {
 				t.Fatalf("%d point decisions after cancellation, two-chunk bound is %d", processed, bound)
 			}
-			if full := int64(nW) * int64(gir.NumPoints()) / 2; processed >= full {
+			if full := int64(nW) * int64(gir.pm.Len()) / 2; processed >= full {
 				t.Fatalf("cancelled parallel scan did %d decisions — not meaningfully early", processed)
 			}
 		})
@@ -143,10 +139,10 @@ func TestCancelledQueryLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		ctx := newCountdownCtx(1 + i%4)
-		if _, err := gir.ReverseTopKCtx(ctx, q, 10, 4, nil); err != context.Canceled {
+		if _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: 4}); err != context.Canceled {
 			t.Fatalf("run %d: err = %v", i, err)
 		}
-		if _, err := gir.ReverseKRanksCtx(ctx, q, 10, 4, nil); err != context.Canceled {
+		if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 4}); err != context.Canceled {
 			t.Fatalf("run %d: err = %v", i, err)
 		}
 	}
@@ -169,44 +165,14 @@ func TestExpiredDeadlineStopsBeforeScanning(t *testing.T) {
 	defer cancel()
 	for _, workers := range []int{1, 4} {
 		var c stats.Counters
-		if _, err := gir.ReverseTopKCtx(ctx, q, 10, workers, &c); err != context.DeadlineExceeded {
+		if _, err := gir.ReverseTopKOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: &c}); err != context.DeadlineExceeded {
 			t.Fatalf("workers=%d RTK err = %v, want DeadlineExceeded", workers, err)
 		}
-		if _, err := gir.ReverseKRanksCtx(ctx, q, 10, workers, &c); err != context.DeadlineExceeded {
+		if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: workers, Counters: &c}); err != context.DeadlineExceeded {
 			t.Fatalf("workers=%d RKR err = %v, want DeadlineExceeded", workers, err)
 		}
 		if c.Filtered+c.Refinements != 0 {
 			t.Fatalf("workers=%d: expired context still scanned %d weights", workers, c.Filtered+c.Refinements)
-		}
-	}
-}
-
-// TestCtxAnswersMatchPlainCalls pins the zero-cost property: attaching a
-// background context changes neither the answers nor the counters.
-func TestCtxAnswersMatchPlainCalls(t *testing.T) {
-	gir, q := ctxTestGIR(t, 3000)
-	for _, workers := range []int{1, 2, 4, 8} {
-		var cPlain, cCtx stats.Counters
-		wantRTK := gir.ReverseTopKParallel(q, 10, workers, &cPlain)
-		gotRTK, err := gir.ReverseTopKCtx(context.Background(), q, 10, workers, &cCtx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalInts(wantRTK, gotRTK) {
-			t.Fatalf("workers=%d: RTK %v != %v", workers, gotRTK, wantRTK)
-		}
-		wantRKR := gir.ReverseKRanksParallel(q, 10, workers, nil)
-		gotRKR, err := gir.ReverseKRanksCtx(context.Background(), q, 10, workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wantRKR) != len(gotRKR) {
-			t.Fatalf("workers=%d: RKR lengths differ", workers)
-		}
-		for i := range wantRKR {
-			if wantRKR[i] != gotRKR[i] {
-				t.Fatalf("workers=%d: RKR[%d] %+v != %+v", workers, i, gotRKR[i], wantRKR[i])
-			}
 		}
 	}
 }

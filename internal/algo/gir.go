@@ -47,13 +47,6 @@ type GIR struct {
 	// ablation experiment that measures what the buffer is worth.
 	DisableDomin bool
 
-	// Parallelism is the number of worker goroutines a single query
-	// shards W across (see gir_parallel.go). 0 or 1 keeps the sequential
-	// scan; values above 1 enable the intra-query worker pool. Results
-	// are identical either way. The field is read-only configuration and
-	// must not be changed while queries are in flight.
-	Parallelism int
-
 	g  grid.Bounder
 	pa *grid.Index        // P^(A)
 	wa *grid.Index        // W^(A)
@@ -70,7 +63,7 @@ type GIR struct {
 
 	// pool recycles per-query state (Domin buffer, bound scratch, result
 	// heap and buffers) so steady-state queries allocate only their result
-	// slice. Shared by the sequential and parallel paths.
+	// slice. Shared by the one-worker and sharded scans.
 	pool sync.Pool
 }
 
@@ -160,25 +153,11 @@ func NewGIRWithBounder(P, W []vec.Vector, g grid.Bounder) *GIR {
 	return newGIR(vec.NewMatrix(P), vec.NewMatrix(W), g, Layout{})
 }
 
-// NewGIRLayout is NewGIR with an explicit storage layout.
-func NewGIRLayout(P, W []vec.Vector, rangeP float64, n int, lay Layout) *GIR {
-	validateSets(P, W)
-	if n < 1 {
-		panic(fmt.Sprintf("algo: grid partitions %d < 1", n))
-	}
-	return newGIR(vec.NewMatrix(P), vec.NewMatrix(W), grid.New(n, rangeP, maxComponent(W)), lay)
-}
-
-// NewGIRFromMatrices is NewGIR over pre-flattened data sets, adopting the
-// matrices without copying. The root package uses it so the index and the
-// algorithm share one backing array per set.
-func NewGIRFromMatrices(pm, wm *vec.Matrix, rangeP float64, n int) *GIR {
-	return NewGIRFromMatricesLayout(pm, wm, rangeP, n, Layout{})
-}
-
-// NewGIRFromMatricesLayout is NewGIRFromMatrices with an explicit storage
-// layout.
-func NewGIRFromMatricesLayout(pm, wm *vec.Matrix, rangeP float64, n int, lay Layout) *GIR {
+// NewGIRFromMatrices is NewGIR over pre-flattened data sets with an
+// explicit storage layout, adopting the matrices without copying. The
+// root package uses it so the index and the algorithm share one backing
+// array per set.
+func NewGIRFromMatrices(pm, wm *vec.Matrix, rangeP float64, n int, lay Layout) *GIR {
 	if n < 1 {
 		panic(fmt.Sprintf("algo: grid partitions %d < 1", n))
 	}
@@ -291,20 +270,6 @@ func (gr *GIR) PointGrouping() *grid.GroupedIndex { return gr.pg }
 // WeightGrouping exposes the distinct-W^(A)-row grouping, for the
 // persistence layer.
 func (gr *GIR) WeightGrouping() *grid.GroupedIndex { return gr.wg }
-
-// Point returns point j as a view into the contiguous backing; callers
-// must not modify it.
-func (gr *GIR) Point(j int) vec.Vector { return gr.pm.Row(j) }
-
-// Weight returns weight i as a view into the contiguous backing;
-// callers must not modify it.
-func (gr *GIR) Weight(i int) vec.Vector { return gr.wm.Row(i) }
-
-// NumPoints returns |P|.
-func (gr *GIR) NumPoints() int { return gr.pm.Len() }
-
-// NumWeights returns |W|.
-func (gr *GIR) NumWeights() int { return gr.wm.Len() }
 
 // PointGroups returns the number of distinct P^(A) rows (diagnostics).
 func (gr *GIR) PointGroups() int { return gr.pg.Groups() }
@@ -643,61 +608,34 @@ func (gr *GIR) getState() *queryState {
 
 func (gr *GIR) putState(st *queryState) { gr.pool.Put(st) }
 
-// cancelChunk is the cancellation granularity of both scan paths: the
-// sequential loops poll ctx.Err() every cancelChunk weight vectors, and
-// the parallel workers bound their claim chunks to at most cancelChunk
-// weights and poll between claims. One chunk is the most work a
-// cancelled query performs per goroutine before returning, and at ~|P|
-// operations per weight it amortizes the poll to nothing.
+// cancelChunk is the cancellation granularity of the scan: the scan
+// loops poll ctx.Err() every cancelChunk weight vectors, and the sharded
+// scan's workers bound their claim chunks to at most cancelChunk weights
+// and poll between claims. One chunk is the most work a cancelled query
+// performs per goroutine before returning, and at ~|P| operations per
+// weight it amortizes the poll to nothing.
 const cancelChunk = 1024
 
-// ReverseTopK is GIRTop-k (Algorithm 2), sharded across gr.Parallelism
-// workers when configured above 1.
+// ReverseTopK implements RTKAlgorithm: GIRTop-k on one worker.
 func (gr *GIR) ReverseTopK(q vec.Vector, k int, c *stats.Counters) []int {
-	res, _ := gr.ReverseTopKCtx(context.Background(), q, k, gr.defaultWorkers(), c)
+	res, _ := gr.ReverseTopKOpts(context.Background(), q, k, QueryOpts{Counters: c})
 	return res
 }
 
-// ReverseTopKParallel is ReverseTopK with an explicit worker count
-// overriding gr.Parallelism: 1 runs the sequential scan, values above 1
-// shard W across that many goroutines, and 0 or negative means
-// GOMAXPROCS. The answer is identical for every worker count.
-func (gr *GIR) ReverseTopKParallel(q vec.Vector, k, workers int, c *stats.Counters) []int {
-	res, _ := gr.ReverseTopKCtx(context.Background(), q, k, workers, c)
-	return res
-}
-
-// defaultWorkers maps gr.Parallelism to an explicit worker count: values
-// below 1 mean the sequential scan.
-func (gr *GIR) defaultWorkers() int {
-	if gr.Parallelism < 1 {
-		return 1
-	}
-	return gr.Parallelism
-}
-
-// ReverseTopKCtx is ReverseTopKParallel under a context: the scan polls
-// ctx between preference chunks (cancelChunk weights) on every goroutine,
-// so a cancelled or expired context stops the query within one chunk and
-// returns ctx.Err() with no workers left behind. The answer is identical
-// for every worker count; a cancelled query returns a nil answer.
-func (gr *GIR) ReverseTopKCtx(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters) ([]int, error) {
-	return gr.ReverseTopKTraced(ctx, q, k, workers, c, nil)
-}
-
-// QueryOpts bundles the per-query execution knobs of the Opts
-// entrypoints — the coherent replacement for the positional
-// (workers, counters, trace) parameter lists of the older variants.
-// The zero value runs a sequential, untraced, uncounted query on the
-// index's native layout.
+// QueryOpts bundles the per-query execution knobs of ReverseTopKOpts and
+// ReverseKRanksOpts. The zero value runs a one-worker, untraced,
+// uncounted query on the index's native layout.
 type QueryOpts struct {
-	// Workers shards W across that many goroutines; 0 or 1 keeps the
-	// sequential scan, negative means GOMAXPROCS. Answers are identical
-	// at every worker count.
+	// Workers shards W across that many goroutines; 1 or less runs the
+	// scan inline on the caller's goroutine. Answers are identical at
+	// every worker count.
 	Workers int
 	// Counters, when non-nil, accumulates the per-case scan breakdown.
 	Counters *stats.Counters
-	// Trace, when recording, receives scan/merge spans.
+	// Trace, when recording, receives scan/merge spans carrying the
+	// per-case breakdown of Section 3.1 (Case-1 adds, Case-2 skips, Case-3
+	// refinements, the filter rate and the dominator count). A nil trace
+	// adds no work to the query path.
 	Trace *trace.Trace
 	// Reference forces the unpacked float64 classification path for this
 	// query even on a packed-layout index — a debugging/bisection aid;
@@ -706,23 +644,11 @@ type QueryOpts struct {
 	Reference bool
 }
 
-// ReverseTopKTraced is ReverseTopKCtx with per-query tracing: when tr is
-// a recording trace, the scan and result merge emit spans carrying the
-// per-case breakdown of Section 3.1 (Case-1 adds, Case-2 skips, Case-3
-// refinements, the filter rate and the dominator count). A nil tr is the
-// common case and adds no work to the query path — every span call on a
-// nil trace is a free no-op.
-func (gr *GIR) ReverseTopKTraced(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace) ([]int, error) {
-	if workers == 0 {
-		workers = -1 // positional 0 meant GOMAXPROCS; QueryOpts 0 means sequential
-	}
-	return gr.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: workers, Counters: c, Trace: tr})
-}
-
-// ReverseTopKOpts is GIRTop-k (Algorithm 2) under a context with the
-// execution knobs gathered in QueryOpts; every other ReverseTopK variant
-// is a wrapper over it. See ReverseTopKCtx for the cancellation contract
-// and ReverseTopKTraced for the span contract.
+// ReverseTopKOpts is GIRTop-k (Algorithm 2) under a context, with the
+// execution knobs gathered in QueryOpts. The scan polls ctx every
+// cancelChunk weights on every goroutine, so a cancelled or expired
+// context stops the query within one chunk and returns ctx.Err() (and a
+// nil answer) with no workers left behind.
 func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]int, error) {
 	c, tr := opts.Counters, opts.Trace
 	if tr != nil && c == nil {
@@ -739,46 +665,20 @@ func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts Qu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers = normalizeWorkers(workers, gr.wm.Len()); workers > 1 {
+	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
 		return gr.reverseTopKParallel(ctx, q, k, workers, c, tr, opts.Reference)
 	}
-	done := ctx.Done()
 	st := gr.getState()
 	defer gr.putState(st)
 	st.scratch.ref = opts.Reference
 	sp := tr.StartSpan("scan")
 	base := counterBaseline(sp, c)
-	var scanErr error
-	earlyEmpty := false
-	// Visit W in cell-sorted order so consecutive weights share the
-	// gathered bound columns; the answer set is order-independent
-	// (DESIGN.md §9) and re-sorted ascending below.
-	for pos, wi := range gr.wg.MemberOrder() {
-		if done != nil && pos%cancelChunk == 0 && pos > 0 {
-			if err := ctx.Err(); err != nil {
-				scanErr = err
-				break
-			}
-		}
-		if _, ok := gr.rankBounded(int(wi), q, k, st.dom, st.scratch, c); ok {
-			st.res = append(st.res, int(wi))
-		}
-		// Algorithm 2 lines 7–8: with k dominators, no weight can place q
-		// in its top-k.
-		if st.dom.count >= k {
-			earlyEmpty = true
-			break
-		}
-	}
+	_, err := gr.scanTopK(ctx, gr.wg.MemberOrder(), q, k, st, c)
 	endScanSpan(sp, c, base, st.dom.count, k, gr.wm.Len())
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
-	if earlyEmpty || len(st.res) == 0 {
+	if st.dom.count >= k || len(st.res) == 0 {
 		return nil, nil
 	}
 	msp := tr.StartSpan("merge")
@@ -789,21 +689,35 @@ func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts Qu
 	return res, nil
 }
 
-// ReverseKRanks is GIRk-Rank (Algorithm 3): the size-k heap's worst
-// retained rank (minRank) is passed to GInTop-k as the filtering cutoff
-// and tightens as better weights are found. When gr.Parallelism exceeds
-// 1, the scan is sharded and the cutoff becomes a shared watermark.
-func (gr *GIR) ReverseKRanks(q vec.Vector, k int, c *stats.Counters) []topk.Match {
-	res, _ := gr.ReverseKRanksCtx(context.Background(), q, k, gr.defaultWorkers(), c)
-	return res
+// scanTopK is GIRTop-k's scan loop over order, a slice of the
+// cell-sorted visit order: it appends to st.res every weight that places
+// q in its top-k and returns how many weights it visited. Visiting W in
+// cell-sorted order lets consecutive weights share the gathered bound
+// columns; the answer set is order-independent (DESIGN.md §9). The loop
+// stops once the query knows k distinct dominators of q (Algorithm 2
+// lines 7–8: no weight can then place q in its top-k) and polls ctx
+// every cancelChunk weights. The one-worker scan runs it once over the
+// whole order; the sharded scan runs it once per claimed chunk.
+func (gr *GIR) scanTopK(ctx context.Context, order []int32, q vec.Vector, k int, st *queryState, c *stats.Counters) (int, error) {
+	for pos, wi := range order {
+		if pos > 0 && pos%cancelChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return pos, err
+			}
+		}
+		if _, ok := gr.rankBounded(int(wi), q, k, st.dom, st.scratch, c); ok {
+			st.res = append(st.res, int(wi))
+		}
+		if st.dom.known() >= k {
+			return pos + 1, nil
+		}
+	}
+	return len(order), nil
 }
 
-// ReverseKRanksParallel is ReverseKRanks with an explicit worker count
-// overriding gr.Parallelism: 1 runs the sequential scan, values above 1
-// shard W across that many goroutines, and 0 or negative means
-// GOMAXPROCS. The answer is identical for every worker count.
-func (gr *GIR) ReverseKRanksParallel(q vec.Vector, k, workers int, c *stats.Counters) []topk.Match {
-	res, _ := gr.ReverseKRanksCtx(context.Background(), q, k, workers, c)
+// ReverseKRanks implements RKRAlgorithm: GIRk-Rank on one worker.
+func (gr *GIR) ReverseKRanks(q vec.Vector, k int, c *stats.Counters) []topk.Match {
+	res, _ := gr.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Counters: c})
 	return res
 }
 
@@ -820,28 +734,11 @@ func admitCutoff(h *topk.KRankHeap) int {
 	return t + 1
 }
 
-// ReverseKRanksCtx is ReverseKRanksParallel under a context, with the
-// same cancellation contract as ReverseTopKCtx: every goroutine polls
-// ctx between preference chunks, so cancellation is honoured within one
-// chunk and the call returns ctx.Err() with no workers left behind.
-func (gr *GIR) ReverseKRanksCtx(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters) ([]topk.Match, error) {
-	return gr.ReverseKRanksTraced(ctx, q, k, workers, c, nil)
-}
-
-// ReverseKRanksTraced is ReverseKRanksCtx with per-query tracing; see
-// ReverseTopKTraced for the span contract. The scan span additionally
-// records the heap's admission count and final cutoff, which together
-// show how quickly the Algorithm 3 bound tightened.
-func (gr *GIR) ReverseKRanksTraced(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace) ([]topk.Match, error) {
-	if workers == 0 {
-		workers = -1 // positional 0 meant GOMAXPROCS; QueryOpts 0 means sequential
-	}
-	return gr.ReverseKRanksOpts(ctx, q, k, QueryOpts{Workers: workers, Counters: c, Trace: tr})
-}
-
-// ReverseKRanksOpts is GIRk-Rank (Algorithm 3) under a context with the
-// execution knobs gathered in QueryOpts; every other ReverseKRanks
-// variant is a wrapper over it.
+// ReverseKRanksOpts is GIRk-Rank (Algorithm 3) under a context, with the
+// execution knobs gathered in QueryOpts and the cancellation contract of
+// ReverseTopKOpts. The scan span additionally records the heap's
+// admission count and final cutoff, which together show how quickly the
+// Algorithm 3 bound tightened.
 func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts QueryOpts) ([]topk.Match, error) {
 	c, tr := opts.Counters, opts.Trace
 	if tr != nil && c == nil {
@@ -856,48 +753,57 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers = normalizeWorkers(workers, gr.wm.Len()); workers > 1 {
+	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
 		return gr.reverseKRanksParallel(ctx, q, k, workers, c, tr, opts.Reference)
 	}
-	done := ctx.Done()
 	st := gr.getState()
 	defer gr.putState(st)
 	st.scratch.ref = opts.Reference
-	h := st.heap
-	h.Reset(k)
+	st.heap.Reset(k)
 	sp := tr.StartSpan("scan")
 	base := counterBaseline(sp, c)
-	admits := 0
-	var scanErr error
-	for pos, wi := range gr.wg.MemberOrder() {
-		if done != nil && pos%cancelChunk == 0 && pos > 0 {
-			if err := ctx.Err(); err != nil {
-				scanErr = err
-				break
-			}
-		}
-		if rnk, ok := gr.rankBounded(int(wi), q, admitCutoff(h), st.dom, st.scratch, c); ok {
-			if h.Offer(topk.Match{WeightIndex: int(wi), Rank: rnk}) {
-				admits++
-			}
-		}
-	}
+	admits, err := gr.scanKRanks(ctx, gr.wg.MemberOrder(), q, k, st, nil, c)
 	if sp != nil {
 		sp.SetInt("heap_admits", int64(admits))
-		sp.SetInt("cutoff_final", cutoffAttr(admitCutoff(h)))
+		sp.SetInt("cutoff_final", cutoffAttr(admitCutoff(st.heap)))
 	}
 	endScanSpan(sp, c, base, st.dom.count, -1, gr.wm.Len())
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
 	msp := tr.StartSpan("merge")
-	res := h.Results()
+	res := st.heap.Results()
 	msp.SetInt("results", int64(len(res))).End()
 	return res, nil
+}
+
+// scanKRanks is GIRk-Rank's scan loop over order, a slice of the
+// cell-sorted visit order: the size-k heap's admission cutoff is passed
+// to GInTop-k as the filtering bound and tightens as better weights are
+// found. It offers every weight ranked under the cutoff to st.heap and
+// returns how many offers the heap admitted. wm is the sharded scan's
+// shared watermark, which further tightens the cutoff and is tightened
+// whenever the local heap is full; the one-worker scan passes nil. ctx is
+// polled every cancelChunk weights.
+func (gr *GIR) scanKRanks(ctx context.Context, order []int32, q vec.Vector, k int, st *queryState, wm *rankWatermark, c *stats.Counters) (int, error) {
+	h := st.heap
+	admits := 0
+	for pos, wi := range order {
+		if pos > 0 && pos%cancelChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return admits, err
+			}
+		}
+		if rnk, ok := gr.rankBounded(int(wi), q, wm.cutoff(admitCutoff(h)), st.dom, st.scratch, c); ok {
+			if h.Offer(topk.Match{WeightIndex: int(wi), Rank: rnk}) {
+				admits++
+				if h.Len() == k {
+					wm.tighten(h.Threshold())
+				}
+			}
+		}
+	}
+	return admits, nil
 }
 
 // counterBaseline snapshots c when the scan span is live, so the span's

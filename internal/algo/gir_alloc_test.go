@@ -1,7 +1,6 @@
 package algo
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // TestSteadyStateAllocations proves the zero-allocation query path: once
-// the state pool is warm, a sequential query allocates only its result
+// the state pool is warm, a one-worker query allocates only its result
 // slice — everything else (Domin buffer, bound scratch, heap, collection
 // buffer) is recycled. The bound is 2 to absorb the occasional pool miss
 // after a GC cycle; the typical count is 1 (RKR) and 0 or 1 (RTK).
@@ -33,22 +32,5 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, func() { gir.ReverseTopK(q, 10, nil) }); got > 2 {
 		t.Errorf("steady-state RTK allocates %v times per query, want <= 2", got)
-	}
-	// The traced entrypoints with a nil trace must match: an untraced
-	// query through the tracing-aware code path pays nothing.
-	ctx := context.Background()
-	if got := testing.AllocsPerRun(20, func() {
-		if _, err := gir.ReverseKRanksTraced(ctx, q, 10, 1, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 2 {
-		t.Errorf("nil-trace RKR allocates %v times per query, want <= 2", got)
-	}
-	if got := testing.AllocsPerRun(20, func() {
-		if _, err := gir.ReverseTopKTraced(ctx, q, 10, 1, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 2 {
-		t.Errorf("nil-trace RTK allocates %v times per query, want <= 2", got)
 	}
 }

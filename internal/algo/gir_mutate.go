@@ -46,8 +46,7 @@ func (gr *GIR) WithAppendedPoint(pm *vec.Matrix) *GIR {
 	pa := gr.pa.WithAppendedPoint(pm.Row(pm.Len() - 1))
 	pg := gr.pg.WithAppended(pa)
 	return &GIR{
-		pm: pm, wm: gr.wm,
-		DisableDomin: gr.DisableDomin, Parallelism: gr.Parallelism,
+		pm: pm, wm: gr.wm, DisableDomin: gr.DisableDomin,
 		g: gr.g, pa: pa, wa: gr.wa, pg: pg, wg: gr.wg,
 		packedBits: gr.packedBits, pk: pg.Packed(),
 	}
@@ -59,8 +58,7 @@ func (gr *GIR) WithRemovedPoint(pm *vec.Matrix, i int) *GIR {
 	pa := gr.pa.WithRemoved(i)
 	pg := gr.pg.WithRemoved(pa, i)
 	return &GIR{
-		pm: pm, wm: gr.wm,
-		DisableDomin: gr.DisableDomin, Parallelism: gr.Parallelism,
+		pm: pm, wm: gr.wm, DisableDomin: gr.DisableDomin,
 		g: gr.g, pa: pa, wa: gr.wa, pg: pg, wg: gr.wg,
 		packedBits: gr.packedBits, pk: pg.Packed(),
 	}
@@ -71,8 +69,7 @@ func (gr *GIR) WithRemovedPoint(pm *vec.Matrix, i int) *GIR {
 func (gr *GIR) WithAppendedWeight(wm *vec.Matrix) *GIR {
 	wa := gr.wa.WithAppendedWeight(wm.Row(wm.Len() - 1))
 	return &GIR{
-		pm: gr.pm, wm: wm,
-		DisableDomin: gr.DisableDomin, Parallelism: gr.Parallelism,
+		pm: gr.pm, wm: wm, DisableDomin: gr.DisableDomin,
 		g: gr.g, pa: gr.pa, wa: wa, pg: gr.pg, wg: gr.wg.WithAppended(wa),
 		packedBits: gr.packedBits, pk: gr.pk,
 	}
@@ -83,8 +80,7 @@ func (gr *GIR) WithAppendedWeight(wm *vec.Matrix) *GIR {
 func (gr *GIR) WithRemovedWeight(wm *vec.Matrix, i int) *GIR {
 	wa := gr.wa.WithRemoved(i)
 	return &GIR{
-		pm: gr.pm, wm: wm,
-		DisableDomin: gr.DisableDomin, Parallelism: gr.Parallelism,
+		pm: gr.pm, wm: wm, DisableDomin: gr.DisableDomin,
 		g: gr.g, pa: gr.pa, wa: wa, pg: gr.pg, wg: gr.wg.WithRemoved(wa, i),
 		packedBits: gr.packedBits, pk: gr.pk,
 	}

@@ -2,7 +2,6 @@ package algo
 
 import (
 	"context"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -17,16 +16,17 @@ import (
 
 // Intra-query parallel execution of the GIR algorithms.
 //
-// The sequential GIR query scans W on one goroutine; batch.go only
-// parallelizes across queries, so a single large query (the paper's
-// market-analysis case) leaves all but one core idle. The parallel path
-// shards W across a worker pool: each worker claims contiguous chunks of
-// weight indexes from an atomic cursor and evaluates them with private
-// per-worker state — its own Domin buffer, bounds scratch and
-// stats.Counters — merged deterministically at the end.
+// A one-worker GIR query runs its scan loop (scanTopK / scanKRanks in
+// gir.go) inline on the caller's goroutine; batch.go only parallelizes
+// across queries, so a single large query (the paper's market-analysis
+// case) leaves all but one core idle. The sharded scan runs the SAME loop
+// on a worker pool: each worker claims contiguous chunks of the visit
+// order from an atomic cursor and scans them with private per-worker
+// state — its own Domin buffer, bounds scratch, heap and stats.Counters —
+// merged deterministically at the end.
 //
 // Two pieces of cross-worker pruning state keep the sharded scan as
-// effective as the sequential one:
+// effective as the one-worker scan:
 //
 //   - RTK (Algorithm 2 lines 7–8): the global-dominator early exit needs
 //     the number of DISTINCT points known to dominate q across all
@@ -41,29 +41,20 @@ import (
 //     worker may prune any weight whose running rank exceeds T (cutoff
 //     T+1). The watermark is the CAS-minimum of all published T values.
 //
-// Determinism: results are bit-identical to the sequential path. Workers
+// Determinism: results are bit-identical to the one-worker scan. Workers
 // claim chunks of POSITIONS in the cell-sorted visit order (the same
-// order the sequential scan uses, so both paths share the weight-group
-// scratch reuse); a worker's shard is therefore an arbitrary subsequence
+// order the one-worker scan uses, so both share the weight-group scratch
+// reuse); a worker's shard is therefore an arbitrary subsequence
 // of W by index, and every pruning cutoff — the local heap threshold as
 // well as the watermark — uses T+1, not T, so rank == T candidates,
 // which can still win (rank, index) ties, are always refined exactly.
 // The global answer is recovered by re-sorting the merged candidates on
 // the (rank, index) total order. See DESIGN.md §7 and §9.
 
-// normalizeWorkers resolves a worker-count request: non-positive means
-// GOMAXPROCS, and a query never uses more workers than weight vectors.
+// normalizeWorkers resolves a worker-count request: 1 or less means one
+// worker, and a query never uses more workers than weight vectors.
 func normalizeWorkers(workers, nW int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nW {
-		workers = nW
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(min(workers, nW), 1)
 }
 
 // parallelChunk sizes the unit of work workers claim from the shared
@@ -114,7 +105,8 @@ func (s *sharedDomin) claim(pj int) {
 
 // rankWatermark is the shared RKR admission bound: the minimum worst
 // retained rank over every full per-worker heap. Initialized to maxInt
-// (no bound) and monotonically tightened with CAS.
+// (no bound) and monotonically tightened with CAS. A nil watermark — the
+// one-worker scan's — never tightens and never bounds the cutoff.
 type rankWatermark struct {
 	v atomic.Int64
 }
@@ -127,6 +119,9 @@ func newRankWatermark() *rankWatermark {
 
 // tighten lowers the watermark to t if t is smaller.
 func (wm *rankWatermark) tighten(t int) {
+	if wm == nil {
+		return
+	}
 	for {
 		cur := wm.v.Load()
 		if int64(t) >= cur {
@@ -143,6 +138,9 @@ func (wm *rankWatermark) tighten(t int) {
 // ascending shard) or one past the watermark (safe globally), whichever
 // is tighter.
 func (wm *rankWatermark) cutoff(local int) int {
+	if wm == nil {
+		return local
+	}
 	g := wm.v.Load()
 	if g < int64(maxInt) && int(g)+1 < local {
 		return int(g) + 1
@@ -150,12 +148,6 @@ func (wm *rankWatermark) cutoff(local int) int {
 	return local
 }
 
-// reverseTopKParallel is GIRTop-k (Algorithm 2) sharded over workers
-// goroutines. Callers guarantee workers >= 2, k >= 1 and a live ctx on
-// entry. Workers poll ctx between chunk claims (chunks are capped at
-// cancelChunk weights), so cancellation stops every worker within one
-// chunk; the coordinator then joins them all and returns ctx.Err() —
-// cancellation never leaks a goroutine.
 // layoutLabel names the scan layout for profiler labels.
 func (gr *GIR) layoutLabel() string {
 	if gr.pk != nil {
@@ -176,90 +168,122 @@ func (gr *GIR) scanLabels(kind string, k int) pprof.LabelSet {
 	)
 }
 
-func (gr *GIR) reverseTopKParallel(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace, ref bool) ([]int, error) {
-	shared := newSharedDomin(gr.pm.Len())
-	var cursor atomic.Int64
-	chunk := parallelChunk(gr.wm.Len(), workers)
-	done := ctx.Done()
-	sp := tr.StartSpan("scan")
-	sp.SetInt("workers", int64(workers))
-	type workerOut struct {
-		res []int
-		c   stats.Counters
+// claimChunk hands out the next unclaimed chunk of order from cursor,
+// reporting false once the order is exhausted.
+func claimChunk(cursor *atomic.Int64, chunk int, order []int32) ([]int32, bool) {
+	end := int(cursor.Add(int64(chunk)))
+	start := end - chunk
+	if start >= len(order) {
+		return nil, false
 	}
+	return order[start:min(end, len(order))], true
+}
+
+// workerOut is one scan worker's private state: its pooled query state
+// (the coordinator gets and returns it, so the worker's results stay
+// readable after the join) and its counters, merged after the join.
+// The counters take several increments per bound evaluation, so the
+// padding keeps neighbouring workers' counters off each other's cache
+// lines: without it the sharded k-ranks scan measured ~25% slower at two
+// workers from false sharing.
+type workerOut struct {
+	st *queryState
+	c  stats.Counters
+	_  [64]byte
+}
+
+// runWorkers gets a query state per worker and runs work on each
+// worker's goroutine under the scan's pprof labels and a scan.worker
+// child span; work returns how many weights the worker scanned. It
+// returns after every worker has finished, so cancellation never leaks
+// a goroutine; the caller merges the outputs and returns the states with
+// putStates.
+func (gr *GIR) runWorkers(ctx context.Context, sp *trace.Span, lbls pprof.LabelSet, workers int, ref bool, work func(out *workerOut) int) []workerOut {
 	outs := make([]workerOut, workers)
-	lbls := gr.scanLabels("reverse_topk", k)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range outs {
+		outs[w].st = gr.getState()
+		outs[w].st.scratch.ref = ref
 		wg.Add(1)
 		go func(widx int, out *workerOut) {
 			defer wg.Done()
 			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, lbls))
 			wsp := sp.Child("scan.worker")
 			wsp.SetInt("worker", int64(widx))
-			scanned := 0
-			defer func() { endWorkerSpan(wsp, &out.c, scanned) }()
-			st := gr.getState()
-			defer gr.putState(st)
-			st.dom.shared = shared
-			st.scratch.ref = ref
-			order := gr.wg.MemberOrder()
-			for {
-				if shared.count.Load() >= int64(k) {
-					return
-				}
-				if done != nil && ctx.Err() != nil {
-					return
-				}
-				end := int(cursor.Add(int64(chunk)))
-				start := end - chunk
-				if start >= len(order) {
-					return
-				}
-				if end > len(order) {
-					end = len(order)
-				}
-				for oi, wi := range order[start:end] {
-					if _, ok := gr.rankBounded(int(wi), q, k, st.dom, st.scratch, &out.c); ok {
-						out.res = append(out.res, int(wi))
-					}
-					if shared.count.Load() >= int64(k) {
-						scanned += oi + 1
-						return
-					}
-				}
-				scanned += end - start
-			}
+			endWorkerSpan(wsp, &out.c, work(out))
 		}(w, &outs[w])
 	}
 	wg.Wait()
-	base := counterBaseline(sp, c)
-	if c != nil {
-		for w := range outs {
-			c.Add(&outs[w].c)
-		}
-	} else if sp != nil {
-		// The span still wants the merged breakdown; fold into a local.
-		c = new(stats.Counters)
-		for w := range outs {
-			c.Add(&outs[w].c)
-		}
+	return outs
+}
+
+func (gr *GIR) putStates(outs []workerOut) {
+	for w := range outs {
+		gr.putState(outs[w].st)
 	}
+}
+
+// mergeCounters folds the workers' counters into c, returning the
+// counters the scan span reports: c itself, or a local merge when the
+// caller asked for no stats but the span is recording.
+func mergeCounters(c *stats.Counters, sp *trace.Span, outs []workerOut) *stats.Counters {
+	if c == nil {
+		if sp == nil {
+			return nil
+		}
+		c = new(stats.Counters)
+	}
+	for w := range outs {
+		c.Add(&outs[w].c)
+	}
+	return c
+}
+
+// reverseTopKParallel is GIRTop-k (Algorithm 2) sharded over workers
+// goroutines, each running scanTopK over the chunks it claims. Callers
+// guarantee workers >= 2, k >= 1 and a live ctx on entry. Workers poll
+// ctx between chunk claims (chunks are capped at cancelChunk weights),
+// so cancellation stops every worker within one chunk; the coordinator
+// then joins them all and returns ctx.Err().
+func (gr *GIR) reverseTopKParallel(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace, ref bool) ([]int, error) {
+	shared := newSharedDomin(gr.pm.Len())
+	var cursor atomic.Int64
+	chunk := parallelChunk(gr.wm.Len(), workers)
+	order := gr.wg.MemberOrder()
+	sp := tr.StartSpan("scan")
+	sp.SetInt("workers", int64(workers))
+	outs := gr.runWorkers(ctx, sp, gr.scanLabels("reverse_topk", k), workers, ref, func(out *workerOut) int {
+		out.st.dom.shared = shared
+		scanned := 0
+		for shared.count.Load() < int64(k) && ctx.Err() == nil {
+			part, ok := claimChunk(&cursor, chunk, order)
+			if !ok {
+				break
+			}
+			// A chunk never spans a poll point; the loop condition polls
+			// ctx and the coordinator reports ctx.Err() after the join.
+			n, _ := gr.scanTopK(ctx, part, q, k, out.st, &out.c)
+			scanned += n
+		}
+		return scanned
+	})
+	defer gr.putStates(outs)
+	base := counterBaseline(sp, c)
 	dominators := int(shared.count.Load())
-	endScanSpan(sp, c, base, dominators, k, gr.wm.Len())
+	endScanSpan(sp, mergeCounters(c, sp, outs), base, dominators, k, gr.wm.Len())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// Algorithm 2 lines 7–8, sharded: k distinct dominators imply every
 	// weight ranks q at k or worse, so the answer is empty — exactly what
-	// the sequential early exit returns.
+	// the one-worker early exit returns.
 	if dominators >= k {
 		return nil, nil
 	}
 	msp := tr.StartSpan("merge")
 	var res []int
 	for w := range outs {
-		res = append(res, outs[w].res...)
+		res = append(res, outs[w].st.res...)
 	}
 	sort.Ints(res)
 	msp.SetInt("results", int64(len(res))).End()
@@ -278,83 +302,44 @@ func endWorkerSpan(wsp *trace.Span, c *stats.Counters, scanned int) {
 }
 
 // reverseKRanksParallel is GIRk-Rank (Algorithm 3) sharded over workers
-// goroutines. Callers guarantee workers >= 2, k >= 1 and a live ctx on
-// entry; the cancellation contract matches reverseTopKParallel.
+// goroutines, each running scanKRanks over the chunks it claims with a
+// private heap and the shared watermark. Callers guarantee workers >= 2,
+// k >= 1 and a live ctx on entry; the cancellation contract matches
+// reverseTopKParallel.
 func (gr *GIR) reverseKRanksParallel(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace, ref bool) ([]topk.Match, error) {
 	wm := newRankWatermark()
 	var cursor atomic.Int64
 	chunk := parallelChunk(gr.wm.Len(), workers)
-	done := ctx.Done()
+	order := gr.wg.MemberOrder()
 	sp := tr.StartSpan("scan")
 	sp.SetInt("workers", int64(workers))
-	type workerOut struct {
-		matches []topk.Match
-		c       stats.Counters
-	}
-	outs := make([]workerOut, workers)
-	lbls := gr.scanLabels("reverse_kranks", k)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(widx int, out *workerOut) {
-			defer wg.Done()
-			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, lbls))
-			wsp := sp.Child("scan.worker")
-			wsp.SetInt("worker", int64(widx))
-			scanned := 0
-			defer func() { endWorkerSpan(wsp, &out.c, scanned) }()
-			st := gr.getState()
-			defer gr.putState(st)
-			st.scratch.ref = ref
-			h := st.heap
-			h.Reset(k)
-			order := gr.wg.MemberOrder()
-			for {
-				if done != nil && ctx.Err() != nil {
-					break
-				}
-				end := int(cursor.Add(int64(chunk)))
-				start := end - chunk
-				if start >= len(order) {
-					break
-				}
-				if end > len(order) {
-					end = len(order)
-				}
-				for _, wi := range order[start:end] {
-					// The shard is not ascending by weight index, so even
-					// the local threshold must admit rank == T ties: T+1,
-					// same as the watermark rule.
-					cutoff := wm.cutoff(admitCutoff(h))
-					if rnk, ok := gr.rankBounded(int(wi), q, cutoff, st.dom, st.scratch, &out.c); ok {
-						if h.Offer(topk.Match{WeightIndex: int(wi), Rank: rnk}) && h.Len() == k {
-							wm.tighten(h.Threshold())
-						}
-					}
-				}
-				scanned += end - start
+	outs := gr.runWorkers(ctx, sp, gr.scanLabels("reverse_kranks", k), workers, ref, func(out *workerOut) int {
+		out.st.heap.Reset(k)
+		scanned := 0
+		for ctx.Err() == nil {
+			part, ok := claimChunk(&cursor, chunk, order)
+			if !ok {
+				break
 			}
-			out.matches = h.Results()
-		}(w, &outs[w])
-	}
-	wg.Wait()
+			// The shard is not ascending by weight index, so even the
+			// local threshold must admit rank == T ties: scanKRanks uses
+			// T+1, the same rule as the watermark. Cancellation is
+			// polled and reported as in reverseTopKParallel.
+			_, _ = gr.scanKRanks(ctx, part, q, k, out.st, wm, &out.c)
+			scanned += len(part)
+		}
+		return scanned
+	})
+	defer gr.putStates(outs)
 	base := counterBaseline(sp, c)
-	counters := make([]*stats.Counters, workers)
 	var all []topk.Match
 	for w := range outs {
-		counters[w] = &outs[w].c
-		all = append(all, outs[w].matches...)
-	}
-	if c == nil && sp != nil {
-		c = new(stats.Counters)
-	}
-	if c != nil {
-		stats.Merge(c, counters...)
+		all = append(all, outs[w].st.heap.Results()...)
 	}
 	if sp != nil {
 		sp.SetInt("cutoff_final", cutoffAttr(int(wm.v.Load())))
 	}
-	endScanSpan(sp, c, base, -1, -1, gr.wm.Len())
+	endScanSpan(sp, mergeCounters(c, sp, outs), base, -1, -1, gr.wm.Len())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -362,8 +347,8 @@ func (gr *GIR) reverseKRanksParallel(ctx context.Context, q vec.Vector, k, worke
 	// Every global top-k match survives some worker's local heap (a
 	// worker's heap keeps its shard's k best, a superset of the shard's
 	// contribution to the global answer), so sorting the union on the
-	// sequential (rank, index) order and truncating reproduces the
-	// sequential answer exactly.
+	// (rank, index) order and truncating reproduces the one-worker answer
+	// exactly.
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].Rank != all[b].Rank {
 			return all[a].Rank < all[b].Rank

@@ -23,7 +23,7 @@ import (
 // P^(A) with the same Case 1/2/3 classification, Domin buffer and cutoff
 // semantics the grouped scan re-derives per group.
 func refRankBounded(gr *GIR, wi int, q vec.Vector, cutoff int, dom *domin, bnd []float64) (int, bool) {
-	w := gr.Weight(wi)
+	w := gr.wm.Row(wi)
 	fq := vec.Dot(w, q)
 	rnk := dom.count
 	if rnk >= cutoff {
@@ -42,7 +42,7 @@ func refRankBounded(gr *GIR, wi int, q vec.Vector, cutoff int, dom *domin, bnd [
 		}
 	}
 	approx := gr.pa.Cells()
-	for pj, nP := 0, gr.NumPoints(); pj < nP; pj++ {
+	for pj, nP := 0, gr.pm.Len(); pj < nP; pj++ {
 		if dom.has(pj) {
 			continue
 		}
@@ -58,7 +58,7 @@ func refRankBounded(gr *GIR, wi int, q vec.Vector, cutoff int, dom *domin, bnd [
 		if u < fq { // Case 1
 			rnk++
 			if !gr.DisableDomin {
-				dom.observe(pj, gr.Point(pj), q)
+				dom.observe(pj, gr.pm.Row(pj), q)
 			}
 			if rnk >= cutoff {
 				return cutoff, false
@@ -66,10 +66,10 @@ func refRankBounded(gr *GIR, wi int, q vec.Vector, cutoff int, dom *domin, bnd [
 			continue
 		}
 		if l <= fq { // Case 3
-			if vec.Dot(w, gr.Point(pj)) < fq {
+			if vec.Dot(w, gr.pm.Row(pj)) < fq {
 				rnk++
 				if !gr.DisableDomin {
-					dom.observe(pj, gr.Point(pj), q)
+					dom.observe(pj, gr.pm.Row(pj), q)
 				}
 				if rnk >= cutoff {
 					return cutoff, false
@@ -86,10 +86,10 @@ func refReverseTopK(gr *GIR, q vec.Vector, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	dom := newDomin(gr.NumPoints())
+	dom := newDomin(gr.pm.Len())
 	bnd := make([]float64, gr.pa.Dim()*2*gr.g.N())
 	var res []int
-	for wi, nW := 0, gr.NumWeights(); wi < nW; wi++ {
+	for wi, nW := 0, gr.wm.Len(); wi < nW; wi++ {
 		if _, ok := refRankBounded(gr, wi, q, k, dom, bnd); ok {
 			res = append(res, wi)
 		}
@@ -107,10 +107,10 @@ func refReverseKRanks(gr *GIR, q vec.Vector, k int) []topk.Match {
 	if k <= 0 {
 		return nil
 	}
-	dom := newDomin(gr.NumPoints())
+	dom := newDomin(gr.pm.Len())
 	bnd := make([]float64, gr.pa.Dim()*2*gr.g.N())
 	h := topk.NewKRankHeap(k)
-	for wi, nW := 0, gr.NumWeights(); wi < nW; wi++ {
+	for wi, nW := 0, gr.wm.Len(); wi < nW; wi++ {
 		if rnk, ok := refRankBounded(gr, wi, q, h.Threshold(), dom, bnd); ok {
 			h.Offer(topk.Match{WeightIndex: wi, Rank: rnk})
 		}
@@ -172,7 +172,7 @@ func TestGroupedVsReference(t *testing.T) {
 			var packed []*GIR
 			for _, b := range []int{4, 5, 6, 8} {
 				if 1<<b >= n {
-					packed = append(packed, NewGIRLayout(points, weights, P.Range, n, Layout{PackedBits: b}))
+					packed = append(packed, newGIRLayout(points, weights, P.Range, n, Layout{PackedBits: b}))
 				}
 			}
 			for qi := 0; qi < 2; qi++ {
@@ -197,11 +197,11 @@ func TestGroupedVsReference(t *testing.T) {
 						t.Fatalf("reference RKR k=%d disagrees with brute: got %+v want %+v", k, wantRKR, b)
 					}
 					for _, workers := range []int{1, 2, 4, 8} {
-						gotRTK := gir.ReverseTopKParallel(q, k, workers, nil)
+						gotRTK := topKWorkers(gir, q, k, workers, nil)
 						if !equalInts(gotRTK, wantRTK) {
 							t.Fatalf("grouped RTK k=%d workers=%d: got %v want %v", k, workers, gotRTK, wantRTK)
 						}
-						gotRKR := gir.ReverseKRanksParallel(q, k, workers, nil)
+						gotRKR := kRanksWorkers(gir, q, k, workers, nil)
 						if !equalMatches(gotRKR, wantRKR) {
 							t.Fatalf("grouped RKR k=%d workers=%d: got %+v want %+v", k, workers, gotRKR, wantRKR)
 						}
@@ -224,7 +224,7 @@ func TestGroupedVsReference(t *testing.T) {
 						// the packed loop mirrors the unpacked one's
 						// bookkeeping exactly.
 						var cu, cp, cr stats.Counters
-						wantU := gir.ReverseTopKParallel(q, k, 1, &cu)
+						wantU := topKWorkers(gir, q, k, 1, &cu)
 						gotP, _ := pgir.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: 1, Counters: &cp})
 						gotR, _ := pgir.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: 1, Counters: &cr, Reference: true})
 						if !equalInts(gotP, wantU) || !equalInts(gotR, wantU) {
@@ -281,8 +281,8 @@ func TestGroupedCountersSane(t *testing.T) {
 	var c stats.Counters
 	gir.ReverseKRanks(q, 10, &c)
 	checkStatsInvariants(t, &c)
-	if c.ApproxVisited > int64(gir.PointGroups())*int64(gir.NumWeights()) {
+	if c.ApproxVisited > int64(gir.PointGroups())*int64(gir.wm.Len()) {
 		t.Fatalf("ApproxVisited %d exceeds groups×weights %d — counting per point, not per group?",
-			c.ApproxVisited, gir.PointGroups()*gir.NumWeights())
+			c.ApproxVisited, gir.PointGroups()*gir.wm.Len())
 	}
 }

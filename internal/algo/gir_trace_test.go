@@ -65,12 +65,12 @@ func requireCaseBreakdown(t *testing.T, sp trace.SpanData, c *stats.Counters) {
 
 func TestSequentialScanSpans(t *testing.T) {
 	gir := traceTestGIR(t)
-	q := gir.Point(10)
+	q := gir.pm.Row(10)
 	ctx := context.Background()
 
 	var c stats.Counters
 	_, spans := traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseKRanksTraced(ctx, q, 5, 1, &c, tr); err != nil {
+		if _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Counters: &c, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -94,7 +94,7 @@ func TestSequentialScanSpans(t *testing.T) {
 	// RTK: dominator count and fixed cutoff.
 	c.Reset()
 	_, spans = traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseTopKTraced(ctx, q, 50, 1, &c, tr); err != nil {
+		if _, err := gir.ReverseTopKOpts(ctx, q, 50, QueryOpts{Counters: &c, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -116,11 +116,11 @@ func TestSequentialScanSpans(t *testing.T) {
 // scan span.
 func TestTracedCountersWithoutStats(t *testing.T) {
 	gir := traceTestGIR(t)
-	q := gir.Point(3)
+	q := gir.pm.Row(3)
 	ctx := context.Background()
 	for _, workers := range []int{1, 3} {
 		_, spans := traceSpans(t, func(tr *trace.Trace) {
-			if _, err := gir.ReverseKRanksTraced(ctx, q, 5, workers, nil, tr); err != nil {
+			if _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Trace: tr}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -134,13 +134,13 @@ func TestTracedCountersWithoutStats(t *testing.T) {
 
 func TestParallelScanSpans(t *testing.T) {
 	gir := traceTestGIR(t)
-	q := gir.Point(10)
+	q := gir.pm.Row(10)
 	ctx := context.Background()
 	const workers = 3
 
 	var c stats.Counters
 	td, spans := traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseKRanksTraced(ctx, q, 5, workers, &c, tr); err != nil {
+		if _, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Counters: &c, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -171,8 +171,8 @@ func TestParallelScanSpans(t *testing.T) {
 		t.Fatalf("got %d worker spans, want %d", workerSpans, workers)
 	}
 	// RKR never exits early, so the workers jointly claim every weight.
-	if totalScanned != int64(gir.NumWeights()) {
-		t.Errorf("workers scanned %d weights jointly, want %d", totalScanned, gir.NumWeights())
+	if totalScanned != int64(gir.wm.Len()) {
+		t.Errorf("workers scanned %d weights jointly, want %d", totalScanned, gir.wm.Len())
 	}
 	if _, ok := spans["merge"]; !ok {
 		t.Error("no parallel merge span")
@@ -181,7 +181,7 @@ func TestParallelScanSpans(t *testing.T) {
 	// Parallel RTK spans, including the shared dominator count.
 	c.Reset()
 	_, spans = traceSpans(t, func(tr *trace.Trace) {
-		if _, err := gir.ReverseTopKTraced(ctx, q, 50, workers, &c, tr); err != nil {
+		if _, err := gir.ReverseTopKOpts(ctx, q, 50, QueryOpts{Workers: workers, Counters: &c, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -202,14 +202,14 @@ func TestTracedMatchesUntraced(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
 		for qi := 0; qi < 10; qi++ {
-			q := gir.Point(qi * 7)
+			q := gir.pm.Row(qi * 7)
 			tr := tc.Start("q", trace.Parent{})
-			traced, err := gir.ReverseKRanksTraced(ctx, q, 5, workers, nil, tr)
+			traced, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers, Trace: tr})
 			tr.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := gir.ReverseKRanksCtx(ctx, q, 5, workers, nil)
+			plain, err := gir.ReverseKRanksOpts(ctx, q, 5, QueryOpts{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

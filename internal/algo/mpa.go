@@ -41,12 +41,6 @@ func NewMPA(P, W []vec.Vector, capacity, intervals int) (*MPA, error) {
 // Name implements RKRAlgorithm.
 func (m *MPA) Name() string { return "MPA" }
 
-// PointTree exposes the P R-tree for instrumentation.
-func (m *MPA) PointTree() *rtree.Tree { return m.pt }
-
-// Histogram exposes the weight histogram for instrumentation.
-func (m *MPA) Histogram() *histogram.Histogram { return m.hist }
-
 // ReverseKRanks computes the k best weights in two phases: group-level
 // lower bounds per bucket (ordered ascending so the heap's threshold
 // tightens as early as possible), then per-weight refinement of the

@@ -1,17 +1,31 @@
 package algo
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"gridrank/internal/dataset"
 	"gridrank/internal/stats"
+	"gridrank/internal/topk"
 	"gridrank/internal/vec"
 )
 
 // parallelWorkerCounts are the intra-query pool sizes the tests sweep.
 var parallelWorkerCounts = []int{2, 4, 8}
+
+// topKWorkers and kRanksWorkers run the Opts entry points on a
+// background context with an explicit worker count.
+func topKWorkers(gr *GIR, q vec.Vector, k, workers int, c *stats.Counters) []int {
+	res, _ := gr.ReverseTopKOpts(context.Background(), q, k, QueryOpts{Workers: workers, Counters: c})
+	return res
+}
+
+func kRanksWorkers(gr *GIR, q vec.Vector, k, workers int, c *stats.Counters) []topk.Match {
+	res, _ := gr.ReverseKRanksOpts(context.Background(), q, k, QueryOpts{Workers: workers, Counters: c})
+	return res
+}
 
 // TestParallelCrossValidation is the race-proving property test of the
 // parallel execution path: across 50+ randomized datasets (dimensions,
@@ -64,13 +78,13 @@ func TestParallelCrossValidation(t *testing.T) {
 					}
 					for _, workers := range parallelWorkerCounts {
 						var c stats.Counters
-						got := gir.ReverseTopKParallel(q, k, workers, &c)
+						got := topKWorkers(gir, q, k, workers, &c)
 						if !equalInts(got, wantRTK) {
 							t.Fatalf("parallel RTK k=%d workers=%d: got %v want %v", k, workers, got, wantRTK)
 						}
 						checkStatsInvariants(t, &c)
 						c.Reset()
-						gotKR := gir.ReverseKRanksParallel(q, k, workers, &c)
+						gotKR := kRanksWorkers(gir, q, k, workers, &c)
 						if !equalMatches(gotKR, wantRKR) {
 							t.Fatalf("parallel RKR k=%d workers=%d: got %+v want %+v", k, workers, gotKR, wantRKR)
 						}
@@ -124,7 +138,7 @@ func TestParallelDominShortCircuit(t *testing.T) {
 	}
 	for _, workers := range parallelWorkerCounts {
 		var c stats.Counters
-		if got := gir.ReverseTopKParallel(q, 5, workers, &c); len(got) != 0 {
+		if got := topKWorkers(gir, q, 5, workers, &c); len(got) != 0 {
 			t.Fatalf("workers=%d: corner query RTK = %v, want empty", workers, got)
 		}
 		// The early exit must keep the parallel scan within a small
@@ -149,7 +163,7 @@ func TestParallelWatermarkPruning(t *testing.T) {
 	q := P.Points[3]
 	var cSeq, cPar, cNone stats.Counters
 	want := gir.ReverseKRanks(q, 10, &cSeq)
-	got := gir.ReverseKRanksParallel(q, 10, 4, &cPar)
+	got := kRanksWorkers(gir, q, 10, 4, &cPar)
 	if !equalMatches(got, want) {
 		t.Fatalf("parallel RKR disagrees: got %+v want %+v", got, want)
 	}
@@ -165,19 +179,20 @@ func TestParallelWatermarkPruning(t *testing.T) {
 	}
 }
 
-// TestNormalizeWorkers pins the worker-count resolution rules.
+// TestNormalizeWorkers pins the worker-count resolution rules: 1 or
+// less is one worker, and no query uses more workers than weights.
 func TestNormalizeWorkers(t *testing.T) {
-	if got := normalizeWorkers(4, 100); got != 4 {
-		t.Errorf("normalizeWorkers(4, 100) = %d, want 4", got)
-	}
-	if got := normalizeWorkers(8, 3); got != 3 {
-		t.Errorf("normalizeWorkers(8, 3) = %d, want 3 (capped at |W|)", got)
-	}
-	if got := normalizeWorkers(0, 100); got < 1 {
-		t.Errorf("normalizeWorkers(0, 100) = %d, want >= 1 (GOMAXPROCS)", got)
-	}
-	if got := normalizeWorkers(-1, 100); got < 1 {
-		t.Errorf("normalizeWorkers(-1, 100) = %d, want >= 1", got)
+	for _, c := range []struct{ workers, nW, want int }{
+		{4, 100, 4},
+		{8, 3, 3}, // capped at |W|
+		{1, 100, 1},
+		{0, 100, 1},
+		{-1, 100, 1},
+		{4, 0, 1},
+	} {
+		if got := normalizeWorkers(c.workers, c.nW); got != c.want {
+			t.Errorf("normalizeWorkers(%d, %d) = %d, want %d", c.workers, c.nW, got, c.want)
+		}
 	}
 }
 
@@ -217,7 +232,7 @@ func TestRankWatermark(t *testing.T) {
 
 // TestParallelEdgeCases mirrors the sequential edge cases on the
 // parallel path: tiny W, k larger than both sets, worker counts beyond
-// |W|, and the Parallelism field dispatch.
+// |W|, and non-positive k.
 func TestParallelEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	P := dataset.GenerateProducts(rng, dataset.Uniform, 60, 3, 100)
@@ -229,21 +244,14 @@ func TestParallelEdgeCases(t *testing.T) {
 		t.Fatalf("want all 5 weights, got %d", len(want))
 	}
 	for _, workers := range []int{2, 7, 64} {
-		if got := gir.ReverseKRanksParallel(q, 9, workers, nil); !equalMatches(got, want) {
+		if got := kRanksWorkers(gir, q, 9, workers, nil); !equalMatches(got, want) {
 			t.Errorf("workers=%d k>|W|: got %+v want %+v", workers, got, want)
 		}
 	}
-	if got := gir.ReverseTopKParallel(q, 0, 4, nil); got != nil {
+	if got := topKWorkers(gir, q, 0, 4, nil); got != nil {
 		t.Errorf("k=0 parallel RTK should return nil, got %v", got)
 	}
-	if got := gir.ReverseKRanksParallel(q, -3, 4, nil); got != nil {
+	if got := kRanksWorkers(gir, q, -3, 4, nil); got != nil {
 		t.Errorf("negative k parallel RKR should return nil, got %v", got)
-	}
-	// The Parallelism field routes the plain methods through the pool.
-	seqRTK := gir.ReverseTopK(q, 3, nil)
-	gir.Parallelism = 4
-	defer func() { gir.Parallelism = 0 }()
-	if got := gir.ReverseTopK(q, 3, nil); !equalInts(got, seqRTK) {
-		t.Errorf("Parallelism=4 dispatch: got %v want %v", got, seqRTK)
 	}
 }

@@ -41,6 +41,12 @@ func partsData(seed int64, np, nw, d int, rangeP float64) ([]vec.Vector, []vec.V
 	return P, W
 }
 
+// newGIRLayout builds a GIR over copies of P and W with the given
+// storage layout.
+func newGIRLayout(P, W []vec.Vector, rangeP float64, n int, lay Layout) *GIR {
+	return NewGIRFromMatrices(vec.NewMatrix(P), vec.NewMatrix(W), rangeP, n, lay)
+}
+
 // answersEqual compares both query families on a handful of products.
 func answersEqual(t *testing.T, want, got *GIR, label string) {
 	t.Helper()
@@ -60,7 +66,7 @@ func answersEqual(t *testing.T, want, got *GIR, label string) {
 func TestGIRFromPartsEquivalence(t *testing.T) {
 	P, W := partsData(91, 160, 60, 3, 50)
 	for _, bits := range []int{0, 5} {
-		base := NewGIRLayout(P, W, 50, 8, Layout{PackedBits: bits})
+		base := newGIRLayout(P, W, 50, 8, Layout{PackedBits: bits})
 		got := NewGIRFromParts(GIRParts{
 			PM: base.pm, WM: base.wm,
 			Grid: base.Grid(),
@@ -79,7 +85,7 @@ func TestGIRFromPartsEquivalence(t *testing.T) {
 	}
 	// A packed width without a matching packed store is a programming
 	// error the constructor must refuse loudly.
-	base := NewGIRLayout(P, W, 50, 8, Layout{})
+	base := newGIRLayout(P, W, 50, 8, Layout{})
 	defer func() {
 		if recover() == nil {
 			t.Error("NewGIRFromParts accepted PackedBits without a packed store")
@@ -115,7 +121,7 @@ func TestGIRCanonicalWeightRange(t *testing.T) {
 // accessors the derivations are gated on.
 func TestGIRMutateDerivations(t *testing.T) {
 	P, W := partsData(93, 120, 50, 3, 50)
-	base := NewGIRLayout(P, W, 50, 8, Layout{PackedBits: 4})
+	base := newGIRLayout(P, W, 50, 8, Layout{PackedBits: 4})
 	if base.PointRange() != 50 {
 		t.Fatalf("PointRange = %v", base.PointRange())
 	}
@@ -126,13 +132,13 @@ func TestGIRMutateDerivations(t *testing.T) {
 	// Append a point.
 	addP := append(append([]vec.Vector(nil), P...), vec.Vector{25, 10, 40})
 	got := base.WithAppendedPoint(vec.NewMatrix(addP))
-	want := NewGIRLayout(addP, W, 50, 8, Layout{PackedBits: 4})
+	want := newGIRLayout(addP, W, 50, 8, Layout{PackedBits: 4})
 	answersEqual(t, want, got, "appended point")
 
 	// Remove a point.
 	delP := append(append([]vec.Vector(nil), P[:7]...), P[8:]...)
 	got = base.WithRemovedPoint(vec.NewMatrix(delP), 7)
-	want = NewGIRLayout(delP, W, 50, 8, Layout{PackedBits: 4})
+	want = newGIRLayout(delP, W, 50, 8, Layout{PackedBits: 4})
 	answersEqual(t, want, got, "removed point")
 
 	// Append a weight (inside the current weight range, so the grid is

@@ -35,10 +35,10 @@ func TestScanWorkerPprofLabels(t *testing.T) {
 		var c stats.Counters
 		for i := 0; !stop.Load(); i++ {
 			q := P.Points[i%len(P.Points)]
-			if _, err := gir.ReverseTopKCtx(ctx, q, 40, 4, &c); err != nil {
+			if _, err := gir.ReverseTopKOpts(ctx, q, 40, QueryOpts{Workers: 4, Counters: &c}); err != nil {
 				return
 			}
-			if _, err := gir.ReverseKRanksCtx(ctx, q, 10, 4, &c); err != nil {
+			if _, err := gir.ReverseKRanksOpts(ctx, q, 10, QueryOpts{Workers: 4, Counters: &c}); err != nil {
 				return
 			}
 		}

@@ -65,16 +65,6 @@ func NewSparseGIR(P, W []vec.Vector, rangeP float64, n int) *SparseGIR {
 // Name implements RTKAlgorithm and RKRAlgorithm.
 func (s *SparseGIR) Name() string { return "GIR-SPARSE" }
 
-// AvgNonZero returns the average number of non-zero weight components —
-// the sparsity the construction discovered.
-func (s *SparseGIR) AvgNonZero() float64 {
-	total := 0
-	for _, dims := range s.wDims {
-		total += len(dims)
-	}
-	return float64(total) / float64(len(s.wDims))
-}
-
 // sparseDot computes f_w(p) over the non-zero dimensions only.
 func sparseDot(w, p vec.Vector, dims []int32) float64 {
 	var f float64

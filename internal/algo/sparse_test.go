@@ -176,3 +176,13 @@ func TestDisableDominKeepsAnswers(t *testing.T) {
 		}
 	}
 }
+
+// AvgNonZero returns the average number of non-zero weight components —
+// the sparsity the construction discovered.
+func (s *SparseGIR) AvgNonZero() float64 {
+	total := 0
+	for _, dims := range s.wDims {
+		total += len(dims)
+	}
+	return float64(total) / float64(len(s.wDims))
+}

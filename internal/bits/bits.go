@@ -1,7 +1,8 @@
 // Package bits implements the bit-string compression of approximate vectors
 // described in Section 3.2 of the paper: with n = 2^b value-range partitions
-// per dimension, each d-dimensional approximate vector is stored as a
-// (b·d)-bit string, roughly b/64 of the original 64-bit float data.
+// per dimension, each d-dimensional approximate vector is stored as b-bit
+// codes in word-aligned rows, roughly b/64 of the original 64-bit float
+// data.
 package bits
 
 import (
@@ -11,103 +12,14 @@ import (
 	"io"
 )
 
-// Packed stores a fixed-size collection of approximate vectors, b bits per
-// dimension, packed contiguously (little-endian within each uint64 word).
-type Packed struct {
-	bitsPerDim int
-	dim        int
-	count      int
-	words      []uint64
-}
-
 // MaxBitsPerDim bounds b; 16 bits allows n up to 65536 partitions, far more
 // than the paper's maximum of 128 (b = 7).
 const MaxBitsPerDim = 16
 
-// NewPacked allocates storage for count vectors of dim dimensions at b bits
-// per dimension. It panics on invalid parameters, since the values come
-// from programmatic configuration, not user input.
-func NewPacked(count, dim, b int) *Packed {
-	if b <= 0 || b > MaxBitsPerDim {
-		panic(fmt.Sprintf("bits: bitsPerDim %d out of (0, %d]", b, MaxBitsPerDim))
-	}
-	if count < 0 || dim <= 0 {
-		panic(fmt.Sprintf("bits: invalid shape count=%d dim=%d", count, dim))
-	}
-	totalBits := count * dim * b
-	return &Packed{
-		bitsPerDim: b,
-		dim:        dim,
-		count:      count,
-		words:      make([]uint64, (totalBits+63)/64),
-	}
-}
-
-// Count returns the number of vectors.
-func (p *Packed) Count() int { return p.count }
-
-// Dim returns the dimensionality.
-func (p *Packed) Dim() int { return p.dim }
-
-// BitsPerDim returns b.
-func (p *Packed) BitsPerDim() int { return p.bitsPerDim }
-
-// SizeBytes returns the size of the packed payload in bytes.
-func (p *Packed) SizeBytes() int { return len(p.words) * 8 }
-
-// Set stores cell value v (must fit in b bits) for vector i, dimension j.
-func (p *Packed) Set(i, j int, v uint16) {
-	if uint64(v) >= 1<<p.bitsPerDim {
-		panic(fmt.Sprintf("bits: value %d does not fit in %d bits", v, p.bitsPerDim))
-	}
-	pos := (i*p.dim + j) * p.bitsPerDim
-	word, off := pos/64, pos%64
-	mask := uint64(1<<p.bitsPerDim) - 1
-	p.words[word] = p.words[word]&^(mask<<off) | uint64(v)<<off
-	if spill := off + p.bitsPerDim - 64; spill > 0 {
-		low := p.bitsPerDim - spill
-		p.words[word+1] = p.words[word+1]&^(mask>>low) | uint64(v)>>low
-	}
-}
-
-// Get returns the cell value for vector i, dimension j.
-func (p *Packed) Get(i, j int) uint16 {
-	pos := (i*p.dim + j) * p.bitsPerDim
-	word, off := pos/64, pos%64
-	mask := uint64(1<<p.bitsPerDim) - 1
-	v := p.words[word] >> off
-	if spill := off + p.bitsPerDim - 64; spill > 0 {
-		v |= p.words[word+1] << (p.bitsPerDim - spill)
-	}
-	return uint16(v & mask)
-}
-
-// Decode writes the approximate vector i into dst, which must have length
-// Dim. Returns dst for convenience.
-func (p *Packed) Decode(i int, dst []uint16) []uint16 {
-	if len(dst) != p.dim {
-		panic(fmt.Sprintf("bits: decode buffer length %d, want %d", len(dst), p.dim))
-	}
-	for j := range dst {
-		dst[j] = p.Get(i, j)
-	}
-	return dst
-}
-
-// Encode stores the approximate vector src as vector i.
-func (p *Packed) Encode(i int, src []uint16) {
-	if len(src) != p.dim {
-		panic(fmt.Sprintf("bits: encode buffer length %d, want %d", len(src), p.dim))
-	}
-	for j, v := range src {
-		p.Set(i, j, v)
-	}
-}
-
-// PackedRows is the scan-oriented sibling of Packed: a fixed-stride,
-// word-aligned store of approximate vectors designed so hot loops can
-// classify rows directly on packed words. It trades a few padding bits
-// for three properties Packed's contiguous layout cannot give:
+// PackedRows is a fixed-stride, word-aligned store of approximate
+// vectors designed so hot loops can classify rows directly on packed
+// words. It trades a few padding bits over a contiguous b·d-bit layout
+// for three properties:
 //
 //   - Every row starts at a word boundary and occupies exactly
 //     WordsPerRow() words, so row r is words[r·wpr : (r+1)·wpr] — a
@@ -165,9 +77,6 @@ func (p *PackedRows) CodesPerWord() int { return p.codesPerWd }
 // WordsPerRow returns the fixed per-row stride in words.
 func (p *PackedRows) WordsPerRow() int { return p.wordsPerRow }
 
-// SizeBytes returns the size of the packed payload in bytes.
-func (p *PackedRows) SizeBytes() int { return len(p.words) * 8 }
-
 // Words returns the flat word store (Count()·WordsPerRow() words,
 // row-major), for hot loops that slice it directly. Not to be modified.
 func (p *PackedRows) Words() []uint64 { return p.words }
@@ -206,28 +115,6 @@ func (p *PackedRows) EncodeRow(i int, row []uint8) {
 		panic(fmt.Sprintf("bits: encode buffer length %d, want %d", len(row), p.dim))
 	}
 	packRowWords(row, p.bitsPerDim, p.codesPerWd, p.Row(i))
-}
-
-// DecodeRow writes row i into dst, which must have length Dim. Returns
-// dst for convenience.
-func (p *PackedRows) DecodeRow(i int, dst []uint8) []uint8 {
-	if len(dst) != p.dim {
-		panic(fmt.Sprintf("bits: decode buffer length %d, want %d", len(dst), p.dim))
-	}
-	mask := uint64(1)<<p.bitsPerDim - 1
-	rw := p.Row(i)
-	wi, c := 0, 0
-	w := rw[0]
-	for j := range dst {
-		dst[j] = uint8(w & mask)
-		w >>= p.bitsPerDim
-		c++
-		if c == p.codesPerWd && j+1 < p.dim {
-			wi++
-			w, c = rw[wi], 0
-		}
-	}
-	return dst
 }
 
 // EqualRow reports whether row i equals the unpacked cell row, comparing
@@ -314,75 +201,19 @@ func (p *PackedRows) Equal(q *PackedRows) bool {
 
 // Serialization format (little endian):
 //
-//	magic  uint32 'B''V''1' 0
+//	magic  uint32 'R''W''1' 0
 //	b      uint32
 //	dim    uint32
 //	count  uint64
-//	words  ceil(count·dim·b / 64) × uint64
+//	words  count·WordsPerRow × uint64
 //
-// PackedRows uses the same header with magic 'R''W''1' 0 and
-// count·WordsPerRow payload words (the fixed-stride layout is fully
-// determined by b and dim, so no extra header fields are needed).
+// The fixed-stride layout is fully determined by b and dim, so no extra
+// header fields are needed.
 
-const packedMagic = 0x00315642
 const packedRowsMagic = 0x00315752
 
 // ErrBadFormat reports a corrupt packed-vector stream.
 var ErrBadFormat = errors.New("bits: bad file format")
-
-// Write serializes p.
-func (p *Packed) Write(w io.Writer) error {
-	hdr := make([]byte, 4+4+4+8)
-	binary.LittleEndian.PutUint32(hdr[0:], packedMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(p.bitsPerDim))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(p.dim))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(p.count))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, word := range p.words {
-		binary.LittleEndian.PutUint64(buf, word)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Read deserializes a Packed written by Write.
-func Read(r io.Reader) (*Packed, error) {
-	hdr := make([]byte, 4+4+4+8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != packedMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
-	}
-	b := int(binary.LittleEndian.Uint32(hdr[4:]))
-	dim := int(binary.LittleEndian.Uint32(hdr[8:]))
-	count := binary.LittleEndian.Uint64(hdr[12:])
-	if b <= 0 || b > MaxBitsPerDim || dim <= 0 || dim > 1<<16 || count > 1<<33 {
-		return nil, fmt.Errorf("%w: implausible header b=%d dim=%d count=%d", ErrBadFormat, b, dim, count)
-	}
-	// Read the payload incrementally so a corrupt header cannot force a
-	// huge up-front allocation; the words slice only grows as data
-	// actually arrives.
-	totalWords := (count*uint64(dim)*uint64(b) + 63) / 64
-	initial := totalWords
-	if initial > 1<<16 {
-		initial = 1 << 16
-	}
-	words := make([]uint64, 0, initial)
-	buf := make([]byte, 8)
-	for i := uint64(0); i < totalWords; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("%w: truncated at word %d: %v", ErrBadFormat, i, err)
-		}
-		words = append(words, binary.LittleEndian.Uint64(buf))
-	}
-	return &Packed{bitsPerDim: b, dim: dim, count: int(count), words: words}, nil
-}
 
 // Write serializes p.
 func (p *PackedRows) Write(w io.Writer) error {
@@ -421,8 +252,9 @@ func ReadRows(r io.Reader) (*PackedRows, error) {
 	}
 	cpw := 64 / b
 	wpr := (dim + cpw - 1) / cpw
-	// Incremental read, as in Read: a corrupt header cannot force a huge
-	// up-front allocation.
+	// Read the payload incrementally so a corrupt header cannot force a
+	// huge up-front allocation; the words slice only grows as data
+	// actually arrives.
 	totalWords := count * uint64(wpr)
 	initial := totalWords
 	if initial > 1<<16 {

@@ -5,35 +5,31 @@ import (
 	"testing"
 )
 
-func benchPacked(b *testing.B, bitsPerDim int) (*Packed, []uint16) {
+func benchPacked(b *testing.B, bitsPerDim int) (*PackedRows, []uint8) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	p := NewPacked(10000, 6, bitsPerDim)
-	buf := make([]uint16, 6)
-	mask := uint16(1<<bitsPerDim - 1)
-	for i := 0; i < 10000; i++ {
-		for j := 0; j < 6; j++ {
-			p.Set(i, j, uint16(rng.Intn(1<<bitsPerDim))&mask)
-		}
+	p := NewPackedRows(10000, 6, bitsPerDim)
+	for i, row := range randomRows(rng, 10000, 6, bitsPerDim) {
+		p.EncodeRow(i, row)
 	}
-	return p, buf
+	return p, make([]uint8, 6)
 }
 
 func BenchmarkDecode6bit(b *testing.B) {
 	p, buf := benchPacked(b, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Decode(i%10000, buf)
+		p.DecodeRow(i%10000, buf)
 	}
 }
 
 func BenchmarkEncode6bit(b *testing.B) {
 	p, buf := benchPacked(b, 6)
 	for j := range buf {
-		buf[j] = uint16(j)
+		buf[j] = uint8(j)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Encode(i%10000, buf)
+		p.EncodeRow(i%10000, buf)
 	}
 }

@@ -2,30 +2,34 @@ package bits
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// decodeAll returns every row of p, unpacked.
+func decodeAll(p *PackedRows) [][]uint8 {
+	out := make([][]uint8, p.Count())
+	for i := range out {
+		out[i] = p.DecodeRow(i, make([]uint8, p.Dim()))
+	}
+	return out
+}
+
 func TestSetGetAllWidths(t *testing.T) {
-	for b := 1; b <= MaxBitsPerDim; b++ {
-		p := NewPacked(17, 5, b)
+	for b := 1; b <= 8; b++ {
 		rng := rand.New(rand.NewSource(int64(b)))
-		want := make([][]uint16, 17)
-		maxV := uint16(1<<b - 1)
-		for i := range want {
-			row := make([]uint16, 5)
-			for j := range row {
-				row[j] = uint16(rng.Intn(int(maxV) + 1))
-				p.Set(i, j, row[j])
-			}
-			want[i] = row
-		}
+		want := randomRows(rng, 17, 5, b)
+		p := NewPackedRows(len(want), 5, b)
 		for i, row := range want {
+			p.EncodeRow(i, row)
+		}
+		for i, row := range decodeAll(p) {
 			for j, v := range row {
-				if got := p.Get(i, j); got != v {
-					t.Fatalf("b=%d: Get(%d,%d) = %d, want %d", b, i, j, got, v)
+				if v != want[i][j] {
+					t.Fatalf("b=%d: cell (%d,%d) = %d, want %d", b, i, j, v, want[i][j])
 				}
 			}
 		}
@@ -33,50 +37,52 @@ func TestSetGetAllWidths(t *testing.T) {
 }
 
 func TestWordBoundarySpill(t *testing.T) {
-	// b=7, dim=10: vector 0 occupies bits 0..69, crossing the word boundary
-	// at bit 64 inside dimension 9.
-	p := NewPacked(3, 10, 7)
+	// b=7, dim=10: a word holds 9 codes, so dimension 9 of every row
+	// starts the row's second word instead of straddling bit 64.
+	p := NewPackedRows(3, 10, 7)
 	for i := 0; i < 3; i++ {
-		for j := 0; j < 10; j++ {
-			p.Set(i, j, uint16((i*10+j)%128))
+		row := make([]uint8, 10)
+		for j := range row {
+			row[j] = uint8((i*10 + j) % 128)
 		}
+		p.EncodeRow(i, row)
 	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 10; j++ {
-			if got := p.Get(i, j); got != uint16((i*10+j)%128) {
-				t.Fatalf("Get(%d,%d) = %d, want %d", i, j, got, (i*10+j)%128)
+	for i, row := range decodeAll(p) {
+		for j, v := range row {
+			if v != uint8((i*10+j)%128) {
+				t.Fatalf("cell (%d,%d) = %d, want %d", i, j, v, (i*10+j)%128)
 			}
+		}
+		if got := p.Row(i)[1]; got != uint64((i*10+9)%128) {
+			t.Fatalf("row %d: second word %#x, want dimension 9 alone at bit 0", i, got)
 		}
 	}
 }
 
 func TestSetOverwrites(t *testing.T) {
-	p := NewPacked(1, 1, 6)
-	p.Set(0, 0, 63)
-	p.Set(0, 0, 1)
-	if got := p.Get(0, 0); got != 1 {
-		t.Fatalf("overwrite failed: got %d", got)
-	}
-	// Neighbors untouched.
-	q := NewPacked(1, 3, 6)
-	q.Set(0, 0, 63)
-	q.Set(0, 1, 0)
-	q.Set(0, 2, 63)
-	q.Set(0, 1, 21)
-	if q.Get(0, 0) != 63 || q.Get(0, 2) != 63 || q.Get(0, 1) != 21 {
-		t.Fatal("Set disturbed neighboring cells")
+	p := NewPackedRows(3, 3, 6)
+	p.EncodeRow(0, []uint8{63, 0, 63})
+	p.EncodeRow(1, []uint8{63, 63, 63})
+	p.EncodeRow(2, []uint8{1, 2, 3})
+	p.EncodeRow(1, []uint8{0, 21, 0})
+	want := [][]uint8{{63, 0, 63}, {0, 21, 0}, {1, 2, 3}}
+	for i, row := range decodeAll(p) {
+		if !bytes.Equal(row, want[i]) {
+			t.Fatalf("row %d = %v, want %v (overwrite disturbed a neighbor?)", i, row, want[i])
+		}
 	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p := NewPacked(4, 8, 5)
-	src := []uint16{1, 2, 3, 4, 5, 6, 7, 31}
-	p.Encode(2, src)
-	dst := make([]uint16, 8)
-	p.Decode(2, dst)
-	for j := range src {
-		if dst[j] != src[j] {
-			t.Fatalf("decode[%d] = %d, want %d", j, dst[j], src[j])
+	p := NewPackedRows(4, 8, 5)
+	src := []uint8{1, 2, 3, 4, 5, 6, 7, 31}
+	p.EncodeRow(2, src)
+	if dst := p.DecodeRow(2, make([]uint8, 8)); !bytes.Equal(dst, src) {
+		t.Fatalf("decode = %v, want %v", dst, src)
+	}
+	for _, i := range []int{0, 1, 3} {
+		if dst := p.DecodeRow(i, make([]uint8, 8)); !bytes.Equal(dst, make([]uint8, 8)) {
+			t.Fatalf("untouched row %d decodes to %v", i, dst)
 		}
 	}
 }
@@ -91,86 +97,91 @@ func TestPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("b=0", func() { NewPacked(1, 1, 0) })
-	mustPanic("b too big", func() { NewPacked(1, 1, MaxBitsPerDim+1) })
-	mustPanic("negative count", func() { NewPacked(-1, 1, 4) })
-	mustPanic("zero dim", func() { NewPacked(1, 0, 4) })
-	mustPanic("value overflow", func() { NewPacked(1, 1, 4).Set(0, 0, 16) })
-	mustPanic("short decode buf", func() { NewPacked(1, 3, 4).Decode(0, make([]uint16, 2)) })
-	mustPanic("short encode buf", func() { NewPacked(1, 3, 4).Encode(0, make([]uint16, 2)) })
+	mustPanic("value overflow at b=1", func() { NewPackedRows(1, 2, 1).EncodeRow(0, []uint8{1, 2}) })
+	mustPanic("long encode", func() { NewPackedRows(1, 3, 4).EncodeRow(0, make([]uint8, 4)) })
+	mustPanic("long decode", func() { NewPackedRows(1, 3, 4).DecodeRow(0, make([]uint8, 4)) })
+	mustPanic("short append", func() { NewPackedRows(1, 3, 4).WithAppendedRow(make([]uint8, 2)) })
+	mustPanic("remove negative", func() { NewPackedRows(1, 3, 4).WithRemovedRow(-1) })
 }
 
 func TestSizeBytesMatchesPaperEstimate(t *testing.T) {
-	// Section 3.2: b=6, so an approximate vector costs 6/64 of the float
-	// data. 1000 vectors × 20 dims: floats = 160000 bytes, packed ≈ 15000.
-	p := NewPacked(1000, 20, 6)
+	// Section 3.2: b=6, so an approximate vector costs about 6/64 of the
+	// float data. 1000 vectors × 20 dims: floats = 160000 bytes; the
+	// word-aligned rows take 2 words each, 16000 bytes.
+	p := NewPackedRows(1000, 20, 6)
 	floatBytes := 1000 * 20 * 8
-	if p.SizeBytes() > floatBytes/10 {
-		t.Errorf("packed size %d bytes exceeds 1/10 of float size %d", p.SizeBytes(), floatBytes)
+	if size := 8 * len(p.Words()); size > floatBytes/10 {
+		t.Errorf("packed size %d bytes exceeds 1/10 of float size %d", size, floatBytes)
 	}
 }
 
 func TestSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	p := NewPacked(50, 7, 6)
-	for i := 0; i < 50; i++ {
-		for j := 0; j < 7; j++ {
-			p.Set(i, j, uint16(rng.Intn(64)))
-		}
-	}
-	var buf bytes.Buffer
-	if err := p.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != 50 || got.Dim() != 7 || got.BitsPerDim() != 6 {
-		t.Fatalf("metadata lost: %+v", got)
-	}
-	for i := 0; i < 50; i++ {
-		for j := 0; j < 7; j++ {
-			if got.Get(i, j) != p.Get(i, j) {
-				t.Fatalf("cell (%d,%d) differs after round trip", i, j)
+	for b := 1; b <= 8; b++ {
+		for _, dim := range []int{1, 7, 64 / b, 64/b + 1} {
+			p := NewPackedRows(50, dim, b)
+			for i, row := range randomRows(rng, 50, dim, b) {
+				p.EncodeRow(i, row)
+			}
+			var buf bytes.Buffer
+			if err := p.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadRows(&buf)
+			if err != nil {
+				t.Fatalf("b=%d dim=%d: %v", b, dim, err)
+			}
+			if !got.Equal(p) || got.WordsPerRow() != p.WordsPerRow() {
+				t.Fatalf("b=%d dim=%d: round trip changed the store", b, dim)
 			}
 		}
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
+	// Header-plausibility checks: each stream carries the right magic and
+	// a well-formed header length but an impossible shape.
+	header := func(b, dim uint32, count uint64) []byte {
+		h := make([]byte, 20)
+		binary.LittleEndian.PutUint32(h[0:], packedRowsMagic)
+		binary.LittleEndian.PutUint32(h[4:], b)
+		binary.LittleEndian.PutUint32(h[8:], dim)
+		binary.LittleEndian.PutUint64(h[12:], count)
+		return h
+	}
 	for name, data := range map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("XXXXXXXXXXXXXXXXXXXXXXXX"),
-		"truncated": func() []byte {
-			var buf bytes.Buffer
-			p := NewPacked(10, 4, 8)
-			p.Write(&buf)
-			return buf.Bytes()[:buf.Len()-4]
-		}(),
+		"zero bits":  header(0, 3, 1),
+		"zero dim":   header(4, 0, 1),
+		"huge dim":   header(4, 1<<17, 1),
+		"huge count": header(4, 3, 1<<34),
+		"no payload": header(4, 3, 2),
 	} {
-		if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+		if _, err := ReadRows(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s: err = %v, want ErrBadFormat", name, err)
 		}
 	}
 }
 
-// Property: any sequence of Set operations is faithfully read back.
+// Property: any sequence of row encodings is faithfully read back.
 func TestPackedQuick(t *testing.T) {
-	f := func(vals []uint16, bSeed uint8) bool {
-		b := int(bSeed)%MaxBitsPerDim + 1
+	f := func(vals []uint8, bSeed uint8) bool {
+		b := int(bSeed)%8 + 1
 		dim := 3
 		count := (len(vals) + dim - 1) / dim
 		if count == 0 {
 			return true
 		}
-		p := NewPacked(count, dim, b)
-		mask := uint16(1<<b - 1)
+		p := NewPackedRows(count, dim, b)
+		mask := uint8(1<<b - 1)
+		want := make([]uint8, count*dim)
 		for idx, v := range vals {
-			p.Set(idx/dim, idx%dim, v&mask)
+			want[idx] = v & mask
 		}
-		for idx, v := range vals {
-			if p.Get(idx/dim, idx%dim) != v&mask {
+		for i := 0; i < count; i++ {
+			p.EncodeRow(i, want[i*dim:(i+1)*dim])
+		}
+		for i, row := range decodeAll(p) {
+			if !bytes.Equal(row, want[i*dim:(i+1)*dim]) {
 				return false
 			}
 		}

@@ -5,14 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzRead ensures the packed-vector parser never panics and that any
+// FuzzRead ensures the packed-row parser never panics and that any
 // successfully parsed store round-trips.
 func FuzzRead(f *testing.F) {
-	p := NewPacked(5, 3, 6)
+	p := NewPackedRows(5, 3, 6)
 	for i := 0; i < 5; i++ {
-		for j := 0; j < 3; j++ {
-			p.Set(i, j, uint16(i*3+j))
-		}
+		p.EncodeRow(i, []uint8{uint8(i * 3), uint8(i*3 + 1), uint8(i*3 + 2)})
 	}
 	var valid bytes.Buffer
 	if err := p.Write(&valid); err != nil {
@@ -22,7 +20,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(valid.Bytes()[:8])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
+		got, err := ReadRows(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -33,12 +31,12 @@ func FuzzRead(f *testing.F) {
 		if err := got.Write(&buf); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		again, err := Read(&buf)
+		again, err := ReadRows(&buf)
 		if err != nil {
 			t.Fatalf("re-parse: %v", err)
 		}
-		if again.Count() != got.Count() {
-			t.Fatal("round trip changed count")
+		if !again.Equal(got) {
+			t.Fatal("round trip changed the store")
 		}
 	})
 }

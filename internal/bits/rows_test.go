@@ -3,6 +3,7 @@ package bits
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -176,11 +177,17 @@ func TestReadRowsRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadFormat", name, err)
 		}
 	}
-	// The packed-vector magic is not accepted here and vice versa.
-	var buf bytes.Buffer
-	NewPacked(2, 3, 4).Write(&buf)
-	if _, err := ReadRows(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("ReadRows accepted a Packed stream: %v", err)
+	// A stream of the retired contiguous layout ('B''V''1' 0 magic, b=4,
+	// dim=3, count=2, one payload word) is rejected by its magic.
+	old := []byte{
+		'B', 'V', '1', 0,
+		4, 0, 0, 0,
+		3, 0, 0, 0,
+		2, 0, 0, 0, 0, 0, 0, 0,
+		0x21, 0x43, 0x65, 0, 0, 0, 0, 0,
+	}
+	if _, err := ReadRows(bytes.NewReader(old)); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("ReadRows accepted a contiguous-layout stream: %v", err)
 	}
 }
 
@@ -202,4 +209,26 @@ func TestPackedRowsPanics(t *testing.T) {
 	mustPanic("short encode", func() { NewPackedRows(1, 3, 4).EncodeRow(0, make([]uint8, 2)) })
 	mustPanic("short decode", func() { NewPackedRows(1, 3, 4).DecodeRow(0, make([]uint8, 2)) })
 	mustPanic("remove out of range", func() { NewPackedRows(1, 3, 4).WithRemovedRow(1) })
+}
+
+// DecodeRow writes row i into dst, which must have length Dim, and
+// returns dst: the tests' reference decoder for the fixed-stride layout.
+func (p *PackedRows) DecodeRow(i int, dst []uint8) []uint8 {
+	if len(dst) != p.dim {
+		panic(fmt.Sprintf("bits: decode buffer length %d, want %d", len(dst), p.dim))
+	}
+	mask := uint64(1)<<p.bitsPerDim - 1
+	rw := p.Row(i)
+	wi, c := 0, 0
+	w := rw[0]
+	for j := range dst {
+		dst[j] = uint8(w & mask)
+		w >>= p.bitsPerDim
+		c++
+		if c == p.codesPerWd && j+1 < p.dim {
+			wi++
+			w, c = rw[wi], 0
+		}
+	}
+	return dst
 }

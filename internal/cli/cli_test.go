@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,7 +85,7 @@ func TestRunQueryRTKAndRKR(t *testing.T) {
 			opts.Type = typ
 			opts.Algo = algoName
 			var buf bytes.Buffer
-			if err := RunQuery(&buf, opts); err != nil {
+			if err := RunQueryCtx(context.Background(), &buf, opts); err != nil {
 				t.Fatalf("%s/%s: %v", typ, algoName, err)
 			}
 			out := buf.String()
@@ -102,7 +103,7 @@ func TestRunQueryRTKAndRKR(t *testing.T) {
 		opts.Type = c.typ
 		opts.Algo = c.algoName
 		var buf bytes.Buffer
-		if err := RunQuery(&buf, opts); err != nil {
+		if err := RunQueryCtx(context.Background(), &buf, opts); err != nil {
 			t.Fatalf("%s/%s: %v", c.typ, c.algoName, err)
 		}
 	}
@@ -111,7 +112,7 @@ func TestRunQueryRTKAndRKR(t *testing.T) {
 func TestRunQueryInlineVector(t *testing.T) {
 	pPath, wPath := genFiles(t)
 	var buf bytes.Buffer
-	err := RunQuery(&buf, QueryOptions{
+	err := RunQueryCtx(context.Background(), &buf, QueryOptions{
 		PPath: pPath, WPath: wPath, Type: "rkr", Algo: "gir", K: 3,
 		QIndex: -1, QRaw: "100, 200, 300, 400", N: 16, Capacity: 16,
 	})
@@ -141,7 +142,7 @@ func TestRunQueryErrors(t *testing.T) {
 		opts := base
 		mutate(&opts)
 		var buf bytes.Buffer
-		if err := RunQuery(&buf, opts); err == nil {
+		if err := RunQueryCtx(context.Background(), &buf, opts); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}
@@ -158,7 +159,7 @@ func TestRunQueryMismatchedDims(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	err := RunQuery(&buf, QueryOptions{PPath: pPath, WPath: wPath, Type: "rtk", Algo: "gir", K: 5, QIndex: 0, N: 16, Capacity: 16})
+	err := RunQueryCtx(context.Background(), &buf, QueryOptions{PPath: pPath, WPath: wPath, Type: "rtk", Algo: "gir", K: 5, QIndex: 0, N: 16, Capacity: 16})
 	if err == nil || !strings.Contains(err.Error(), "dimension mismatch") {
 		t.Errorf("err = %v", err)
 	}
@@ -180,7 +181,7 @@ func TestRunQueryExplain(t *testing.T) {
 		opts := base
 		opts.Type = typ
 		var buf bytes.Buffer
-		if err := RunQuery(&buf, opts); err != nil {
+		if err := RunQueryCtx(context.Background(), &buf, opts); err != nil {
 			t.Fatalf("%s: %v", typ, err)
 		}
 		out := buf.String()
@@ -213,7 +214,7 @@ func TestRunQueryExplain(t *testing.T) {
 	par.Type = "rkr"
 	par.Parallel = 3
 	var buf bytes.Buffer
-	if err := RunQuery(&buf, par); err != nil {
+	if err := RunQueryCtx(context.Background(), &buf, par); err != nil {
 		t.Fatal(err)
 	}
 	if out := buf.String(); !strings.Contains(out, "scan.worker") {
@@ -223,7 +224,7 @@ func TestRunQueryExplain(t *testing.T) {
 	bad := base
 	bad.Type = "rtk"
 	bad.Algo = "brute"
-	if err := RunQuery(&bytes.Buffer{}, bad); err == nil || !strings.Contains(err.Error(), "-explain") {
+	if err := RunQueryCtx(context.Background(), &bytes.Buffer{}, bad); err == nil || !strings.Contains(err.Error(), "-explain") {
 		t.Errorf("-explain with -algo brute should fail, got %v", err)
 	}
 }
@@ -239,13 +240,13 @@ func TestRunQueryParallel(t *testing.T) {
 		seq.Type = typ
 		seq.Algo = "gir"
 		var want bytes.Buffer
-		if err := RunQuery(&want, seq); err != nil {
+		if err := RunQueryCtx(context.Background(), &want, seq); err != nil {
 			t.Fatal(err)
 		}
 		par := seq
 		par.Parallel = 4
 		var got bytes.Buffer
-		if err := RunQuery(&got, par); err != nil {
+		if err := RunQueryCtx(context.Background(), &got, par); err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != want.String() {
@@ -258,12 +259,12 @@ func TestRunQueryParallel(t *testing.T) {
 	bad.Type = "rtk"
 	bad.Algo = "gir"
 	bad.Parallel = -1
-	if err := RunQuery(&bytes.Buffer{}, bad); err == nil {
+	if err := RunQueryCtx(context.Background(), &bytes.Buffer{}, bad); err == nil {
 		t.Error("negative -parallel should fail")
 	}
 	bad.Parallel = 4
 	bad.Algo = "sim"
-	if err := RunQuery(&bytes.Buffer{}, bad); err == nil {
+	if err := RunQueryCtx(context.Background(), &bytes.Buffer{}, bad); err == nil {
 		t.Error("-parallel with -algo sim should fail")
 	}
 }

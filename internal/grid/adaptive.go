@@ -117,13 +117,6 @@ func (a *Adaptive) LowerColumn(j uint8) []float64 { return a.loCols[j] }
 // UpperColumn returns the upper-bound addends for weight cell j.
 func (a *Adaptive) UpperColumn(j uint8) []float64 { return a.upCols[j] }
 
-// EdgesP returns the point boundaries (for diagnostics). The slice is the
-// grid's own storage and must not be modified.
-func (a *Adaptive) EdgesP() []float64 { return a.edgesP }
-
-// EdgesW returns the weight boundaries.
-func (a *Adaptive) EdgesW() []float64 { return a.edgesW }
-
 // cellOf locates x among ascending edges: the largest c with
 // edges[c] <= x, clamped to [0, n-1]. Values above the top edge land in
 // the last cell; the bounds then remain valid because edge n is the
@@ -167,26 +160,6 @@ func (a *Adaptive) ApproxWeight(w vec.Vector, dst []uint8) []uint8 {
 		dst[i] = cellOf(a.edgesW, x)
 	}
 	return dst
-}
-
-// Lower evaluates Equation 3 on the adaptive table.
-func (a *Adaptive) Lower(pa, wa []uint8) float64 {
-	stride := a.n + 1
-	var s float64
-	for i, pi := range pa {
-		s += a.table[int(pi)*stride+int(wa[i])]
-	}
-	return s
-}
-
-// Upper evaluates Equation 4 on the adaptive table.
-func (a *Adaptive) Upper(pa, wa []uint8) float64 {
-	stride := a.n + 1
-	var s float64
-	for i, pi := range pa {
-		s += a.table[(int(pi)+1)*stride+int(wa[i])+1]
-	}
-	return s
 }
 
 // Bounds returns both bounds in one pass.

@@ -16,7 +16,7 @@ func TestAdaptiveEdgesMonotone(t *testing.T) {
 		W := dataset.GenerateWeights(rng, dataset.Uniform, 300, 4)
 		for _, n := range []int{2, 8, 32} {
 			a := NewAdaptive(n, P.Points, W.Points, 100)
-			for _, edges := range [][]float64{a.EdgesP(), a.EdgesW()} {
+			for _, edges := range [][]float64{a.edgesP, a.edgesW} {
 				if len(edges) != n+1 {
 					t.Fatalf("%s n=%d: %d edges", dist, n, len(edges))
 				}
@@ -32,8 +32,8 @@ func TestAdaptiveEdgesMonotone(t *testing.T) {
 					}
 				}
 			}
-			if a.EdgesP()[n] < 100 {
-				t.Fatalf("top point edge %v below max", a.EdgesP()[n])
+			if a.edgesP[n] < 100 {
+				t.Fatalf("top point edge %v below max", a.edgesP[n])
 			}
 		}
 	}
@@ -52,8 +52,8 @@ func TestAdaptiveEdgesWithHeavyDuplicates(t *testing.T) {
 	}
 	a := NewAdaptive(8, pts, ws, 10)
 	for k := 1; k <= 8; k++ {
-		if a.EdgesP()[k] <= a.EdgesP()[k-1] {
-			t.Fatalf("duplicate-heavy edges not strictly increasing: %v", a.EdgesP())
+		if a.edgesP[k] <= a.edgesP[k-1] {
+			t.Fatalf("duplicate-heavy edges not strictly increasing: %v", a.edgesP)
 		}
 	}
 }
@@ -187,4 +187,25 @@ func TestAdaptiveMemoryComparable(t *testing.T) {
 		t.Errorf("adaptive %d bytes vs equal-width %d: same table shape should match",
 			a.MemoryBytes(), g.MemoryBytes())
 	}
+}
+
+// Lower evaluates Equation 3 on the adaptive table: the per-bound
+// reference the fused Bounds must agree with.
+func (a *Adaptive) Lower(pa, wa []uint8) float64 {
+	stride := a.n + 1
+	var s float64
+	for i, pi := range pa {
+		s += a.table[int(pi)*stride+int(wa[i])]
+	}
+	return s
+}
+
+// Upper evaluates Equation 4 on the adaptive table.
+func (a *Adaptive) Upper(pa, wa []uint8) float64 {
+	stride := a.n + 1
+	var s float64
+	for i, pi := range pa {
+		s += a.table[(int(pi)+1)*stride+int(wa[i])+1]
+	}
+	return s
 }

@@ -47,11 +47,8 @@ type Bounder interface {
 	ApproxPoint(p vec.Vector, dst []uint8) []uint8
 	// ApproxWeight fills dst with the weight's approximate vector.
 	ApproxWeight(w vec.Vector, dst []uint8) []uint8
-	// Lower evaluates the lower score bound of Equation 3.
-	Lower(pa, wa []uint8) float64
-	// Upper evaluates the upper score bound of Equation 4.
-	Upper(pa, wa []uint8) float64
-	// Bounds returns both bounds in one pass.
+	// Bounds returns the lower and upper score bounds of Equations 3
+	// and 4 in one pass.
 	Bounds(pa, wa []uint8) (lower, upper float64)
 	// LowerColumn returns the lower-bound addends for weight cell j,
 	// indexed by point cell: col[pc] = Grid[pc][j]. The scan algorithms
@@ -196,14 +193,12 @@ func (g *Grid) MemoryBytes() int {
 // At returns Grid[i][j] = α_p[i]·α_w[j].
 func (g *Grid) At(i, j int) float64 { return g.table[i*(g.n+1)+j] }
 
-// CellP returns the partition index of a point attribute value:
-// ⌊x·n/r_p⌋ clamped into [0, n-1], so x = r_p and small floating-point
-// excursions land in the last cell.
-func (g *Grid) CellP(x float64) uint8 { return cell(x, g.rangeP, g.n) }
-
 // CellW returns the partition index of a weight value.
 func (g *Grid) CellW(x float64) uint8 { return cell(x, g.rangeW, g.n) }
 
+// cell returns the partition index of value x on an axis [0, r) with n
+// partitions: ⌊x·n/r⌋ clamped into [0, n-1], so x = r and small
+// floating-point excursions land in the last cell.
 func cell(x, r float64, n int) uint8 {
 	if x <= 0 {
 		return 0
@@ -221,7 +216,7 @@ func (g *Grid) ApproxPoint(p vec.Vector, dst []uint8) []uint8 {
 		panic(fmt.Sprintf("grid: approx buffer length %d, want %d", len(dst), len(p)))
 	}
 	for i, x := range p {
-		dst[i] = g.CellP(x)
+		dst[i] = cell(x, g.rangeP, g.n)
 	}
 	return dst
 }
@@ -235,27 +230,6 @@ func (g *Grid) ApproxWeight(w vec.Vector, dst []uint8) []uint8 {
 		dst[i] = g.CellW(x)
 	}
 	return dst
-}
-
-// Lower evaluates Equation (3): the lower score bound from approximate
-// vectors pa and wa, using d additions and d table lookups.
-func (g *Grid) Lower(pa, wa []uint8) float64 {
-	stride := g.n + 1
-	var s float64
-	for i, pi := range pa {
-		s += g.table[int(pi)*stride+int(wa[i])]
-	}
-	return s
-}
-
-// Upper evaluates Equation (4): the upper score bound.
-func (g *Grid) Upper(pa, wa []uint8) float64 {
-	stride := g.n + 1
-	var s float64
-	for i, pi := range pa {
-		s += g.table[(int(pi)+1)*stride+int(wa[i])+1]
-	}
-	return s
 }
 
 // LowerColumn returns the lower-bound addends for weight cell j.
@@ -276,39 +250,9 @@ func (g *Grid) Bounds(pa, wa []uint8) (lower, upper float64) {
 	return lower, upper
 }
 
-// Precedence is the three-way classification of Section 3.1.
-type Precedence int8
-
-const (
-	// PrecedesQ: Case 1, U[f_w(p)] < f_w(q): p ranks above q under w.
-	PrecedesQ Precedence = iota - 1
-	// Incomparable: Case 3, the bounds straddle f_w(q); refinement needed.
-	Incomparable
-	// QPrecedes: Case 2, L[f_w(p)] > f_w(q): p cannot affect q's rank.
-	QPrecedes
-)
-
-// Classify applies the three cases to approximate vectors against the exact
-// query score fq = f_w(q). Following Algorithm 1 (line 5), ties on the
-// upper bound count as Case 1 (U ≤ fq ⇒ p precedes), which is safe under
-// Definition 2's q-favouring tie rule only when scores are continuous; the
-// GIR algorithms treat the boundary case as incomparable to stay exact, so
-// Classify uses strict inequalities on both sides.
-func (g *Grid) Classify(pa, wa []uint8, fq float64) Precedence {
-	lo, hi := g.Bounds(pa, wa)
-	switch {
-	case hi < fq:
-		return PrecedesQ
-	case lo > fq:
-		return QPrecedes
-	default:
-		return Incomparable
-	}
-}
-
 // Index pairs a Bounder with the pre-computed approximate vectors of a
 // data set (P^(A) or W^(A) of the paper), stored unpacked for the hot
-// loops and optionally bit-packed for storage (Section 3.2).
+// loops; PackRows bit-packs them for storage (Section 3.2).
 type Index struct {
 	grid Bounder
 	dim  int
@@ -317,28 +261,15 @@ type Index struct {
 }
 
 // NewPointIndex pre-computes P^(A) for a point set, using every CPU for
-// large sets (this is the cold-start cost of a server boot; see
-// NewPointIndexParallel for explicit worker control).
+// large sets (this is the cold-start cost of a server boot).
 func NewPointIndex(g Bounder, points []vec.Vector) *Index {
-	return NewPointIndexParallel(g, points, 0)
+	return newIndex(g, points, true, 0)
 }
 
 // NewWeightIndex pre-computes W^(A) for a weight set, using every CPU
 // for large sets.
 func NewWeightIndex(g Bounder, weights []vec.Vector) *Index {
-	return NewWeightIndexParallel(g, weights, 0)
-}
-
-// NewPointIndexParallel is NewPointIndex on an explicit number of
-// goroutines; 0 or negative means GOMAXPROCS.
-func NewPointIndexParallel(g Bounder, points []vec.Vector, workers int) *Index {
-	return newIndex(g, points, true, workers)
-}
-
-// NewWeightIndexParallel is NewWeightIndex on an explicit number of
-// goroutines; 0 or negative means GOMAXPROCS.
-func NewWeightIndexParallel(g Bounder, weights []vec.Vector, workers int) *Index {
-	return newIndex(g, weights, false, workers)
+	return newIndex(g, weights, false, 0)
 }
 
 // parallelRowThreshold is the cell count below which row computation
@@ -428,65 +359,15 @@ func (ix *Index) Row(i int) []uint8 {
 // scan hot loops slice it directly; callers must not modify it.
 func (ix *Index) Cells() []uint8 { return ix.approx }
 
-// Pack compresses the approximate vectors into a bit-string store with
-// ⌈log₂ n⌉ bits per dimension (Section 3.2).
-func (ix *Index) Pack() *bits.Packed {
-	b := bitsFor(ix.grid.N())
-	p := bits.NewPacked(ix.Count(), ix.dim, b)
-	buf := make([]uint16, ix.dim)
-	for i := 0; i < ix.Count(); i++ {
-		row := ix.Row(i)
-		for j, v := range row {
-			buf[j] = uint16(v)
-		}
-		p.Encode(i, buf)
-	}
-	return p
-}
-
 // PackRows compresses the approximate vectors element-wise into the
 // fixed-stride PackedRows layout at b bits per cell (1<<b must cover the
-// grid's partition count). Unlike Pack, which packs contiguously for
-// minimal size, PackRows keeps each element's row word-aligned — the
-// layout the persist format stores so an mmap-ed file can serve rows
-// in place.
+// grid's partition count). Each element's row stays word-aligned — the
+// layout the persist format stores so an mmap-ed file can serve rows in
+// place.
 func (ix *Index) PackRows(b int) *bits.PackedRows {
 	p := bits.NewPackedRows(ix.Count(), ix.dim, b)
 	for i := 0; i < ix.Count(); i++ {
 		p.EncodeRow(i, ix.Row(i))
 	}
 	return p
-}
-
-// UnpackRowsIndex reconstructs an Index from a fixed-stride packed store
-// and its Grid.
-func UnpackRowsIndex(g Bounder, p *bits.PackedRows) *Index {
-	ix := &Index{grid: g, dim: p.Dim(), approx: make([]uint8, p.Count()*p.Dim())}
-	for i := 0; i < p.Count(); i++ {
-		p.DecodeRow(i, ix.approx[i*ix.dim:(i+1)*ix.dim])
-	}
-	return ix
-}
-
-// UnpackIndex reconstructs an Index from a packed store and its Grid.
-func UnpackIndex(g Bounder, p *bits.Packed) *Index {
-	ix := &Index{grid: g, dim: p.Dim(), approx: make([]uint8, p.Count()*p.Dim())}
-	buf := make([]uint16, p.Dim())
-	for i := 0; i < p.Count(); i++ {
-		p.Decode(i, buf)
-		row := ix.approx[i*ix.dim : (i+1)*ix.dim]
-		for j, v := range buf {
-			row[j] = uint8(v)
-		}
-	}
-	return ix
-}
-
-// bitsFor returns ⌈log₂ n⌉, at least 1.
-func bitsFor(n int) int {
-	b := 1
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

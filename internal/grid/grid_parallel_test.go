@@ -32,13 +32,13 @@ func TestParallelIndexConstruction(t *testing.T) {
 		weights[i] = w
 	}
 	g := New(32, 100, 1)
-	wantP := NewPointIndexParallel(g, points, 1).Cells()
-	wantW := NewWeightIndexParallel(g, weights, 1).Cells()
+	wantP := newIndex(g, points, true, 1).Cells()
+	wantW := newIndex(g, weights, false, 1).Cells()
 	for _, workers := range []int{0, 2, 3, 8} {
-		if got := NewPointIndexParallel(g, points, workers).Cells(); !bytes.Equal(got, wantP) {
+		if got := newIndex(g, points, true, workers).Cells(); !bytes.Equal(got, wantP) {
 			t.Errorf("workers=%d: point cells differ from serial build", workers)
 		}
-		if got := NewWeightIndexParallel(g, weights, workers).Cells(); !bytes.Equal(got, wantW) {
+		if got := newIndex(g, weights, false, workers).Cells(); !bytes.Equal(got, wantW) {
 			t.Errorf("workers=%d: weight cells differ from serial build", workers)
 		}
 	}
@@ -48,5 +48,5 @@ func TestParallelIndexConstruction(t *testing.T) {
 			t.Error("ragged input should panic")
 		}
 	}()
-	NewPointIndexParallel(g, []vec.Vector{{1, 2}, {1}}, 4)
+	newIndex(g, []vec.Vector{{1, 2}, {1}}, true, 4)
 }

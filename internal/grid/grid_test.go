@@ -61,20 +61,21 @@ func TestCellMatchesPaperExample(t *testing.T) {
 
 func TestCellEdges(t *testing.T) {
 	g := New(8, 100, 1)
-	if g.CellP(0) != 0 {
+	cellP := func(x float64) uint8 { return g.ApproxPoint(vec.Vector{x}, make([]uint8, 1))[0] }
+	if cellP(0) != 0 {
 		t.Error("0 should land in cell 0")
 	}
-	if g.CellP(-1) != 0 {
+	if cellP(-1) != 0 {
 		t.Error("negative values clamp to cell 0")
 	}
-	if g.CellP(100) != 7 {
+	if cellP(100) != 7 {
 		t.Error("range max clamps into last cell")
 	}
-	if g.CellP(99.999999) != 7 {
+	if cellP(99.999999) != 7 {
 		t.Error("just below max lands in last cell")
 	}
-	if g.CellP(12.5) != 1 {
-		t.Errorf("12.5 on [0,100)/8: got %d, want 1", g.CellP(12.5))
+	if cellP(12.5) != 1 {
+		t.Errorf("12.5 on [0,100)/8: got %d, want 1", cellP(12.5))
 	}
 }
 
@@ -206,14 +207,10 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		P := dataset.GenerateProducts(rng, dataset.Uniform, 100, 6, 1)
 		g := New(n, 1, 1)
 		ix := NewPointIndex(g, P.Points)
-		packed := ix.Pack()
-		back := UnpackIndex(g, packed)
+		packed := ix.PackRows(bitsFor(n))
 		for i := 0; i < ix.Count(); i++ {
-			a, b := ix.Row(i), back.Row(i)
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("n=%d: cell (%d,%d) lost in pack round trip", n, i, j)
-				}
+			if !packed.EqualRow(i, ix.Row(i)) {
+				t.Fatalf("n=%d: row %d lost in pack round trip", n, i)
 			}
 		}
 	}
@@ -225,12 +222,12 @@ func TestPackedStorageFactor(t *testing.T) {
 	P := dataset.GenerateProducts(rng, dataset.Uniform, 1000, 20, 1)
 	g := New(64, 1, 1) // b = 6
 	ix := NewPointIndex(g, P.Points)
-	packed := ix.Pack()
+	packed := ix.PackRows(bitsFor(g.N()))
 	if packed.BitsPerDim() != 6 {
 		t.Fatalf("n=64 should pack at 6 bits, got %d", packed.BitsPerDim())
 	}
 	floatBytes := 1000 * 20 * 8
-	ratio := float64(packed.SizeBytes()) / float64(floatBytes)
+	ratio := float64(8*len(packed.Words())) / float64(floatBytes)
 	if ratio > 6.0/64+0.01 {
 		t.Errorf("storage ratio %v exceeds b/64 = %v", ratio, 6.0/64)
 	}
@@ -261,4 +258,66 @@ func TestNewIndexPanics(t *testing.T) {
 	mustPanic("ragged", func() {
 		NewPointIndex(g, []vec.Vector{{0.1, 0.2}, {0.3}})
 	})
+}
+
+// The helpers below are test-side reference implementations: the
+// per-bound Equations 3 and 4 that the fused Bounds must agree with,
+// Section 3.1's three-way classification, and the minimal packed width.
+
+// Lower evaluates Equation (3): the lower score bound from approximate
+// vectors pa and wa, using d additions and d table lookups.
+func (g *Grid) Lower(pa, wa []uint8) float64 {
+	stride := g.n + 1
+	var s float64
+	for i, pi := range pa {
+		s += g.table[int(pi)*stride+int(wa[i])]
+	}
+	return s
+}
+
+// Upper evaluates Equation (4): the upper score bound.
+func (g *Grid) Upper(pa, wa []uint8) float64 {
+	stride := g.n + 1
+	var s float64
+	for i, pi := range pa {
+		s += g.table[(int(pi)+1)*stride+int(wa[i])+1]
+	}
+	return s
+}
+
+// Precedence is the three-way classification of Section 3.1.
+type Precedence int8
+
+const (
+	// PrecedesQ: Case 1, U[f_w(p)] < f_w(q): p ranks above q under w.
+	PrecedesQ Precedence = iota - 1
+	// Incomparable: Case 3, the bounds straddle f_w(q); refinement needed.
+	Incomparable
+	// QPrecedes: Case 2, L[f_w(p)] > f_w(q): p cannot affect q's rank.
+	QPrecedes
+)
+
+// Classify applies the three cases to approximate vectors against the
+// exact query score fq = f_w(q), with strict inequalities on both sides
+// as the GIR scan uses them.
+func (g *Grid) Classify(pa, wa []uint8, fq float64) Precedence {
+	lo, hi := g.Bounds(pa, wa)
+	switch {
+	case hi < fq:
+		return PrecedesQ
+	case lo > fq:
+		return QPrecedes
+	default:
+		return Incomparable
+	}
+}
+
+// bitsFor returns ⌈log₂ n⌉, at least 1: the narrowest packed width that
+// encodes n partitions.
+func bitsFor(n int) int {
+	b := 1
+	for 1<<b < n {
+		b++
+	}
+	return b
 }

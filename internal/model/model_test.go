@@ -218,8 +218,8 @@ func TestEmpiricalFilteringGrowsWithN(t *testing.T) {
 			fq := vec.Dot(w, q)
 			for pi := range P {
 				total++
-				if g.Classify(pa.Row(pi), wa.Row(wi), fq) != grid.Incomparable {
-					decided++
+				if lo, hi := g.Bounds(pa.Row(pi), wa.Row(wi)); hi < fq || lo > fq {
+					decided++ // Case 1 or Case 2
 				}
 			}
 		}

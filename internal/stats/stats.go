@@ -80,16 +80,6 @@ func (c *Counters) Add(o *Counters) {
 	c.Queries += o.Queries
 }
 
-// Merge sums any number of per-worker counter sets into dst. This is the
-// merge step of the package's concurrency design: query workers count
-// into private Counters and the coordinator folds them together once the
-// goroutines have joined, so the hot loops never touch shared memory.
-func Merge(dst *Counters, parts ...*Counters) {
-	for _, p := range parts {
-		dst.Add(p)
-	}
-}
-
 // Reset zeroes all counters.
 func (c *Counters) Reset() { *c = Counters{} }
 

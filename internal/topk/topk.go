@@ -94,8 +94,8 @@ func Rank(P []vec.Vector, w, q vec.Vector, c *stats.Counters) int {
 		c.PairwiseMults++
 	}
 	// Full scan with no early exit: pair consecutive points through
-	// vec.Dot2 (bit-identical scores, same counters). RankBounded below
-	// deliberately stays per-point — its cutoff exit must not pay for a
+	// vec.Dot2 (bit-identical scores, same counters). Early-exit scans
+	// deliberately stay per-point — a cutoff exit must not pay for a
 	// speculative second score.
 	rank := 0
 	i := 0
@@ -122,33 +122,6 @@ func Rank(P []vec.Vector, w, q vec.Vector, c *stats.Counters) int {
 		}
 	}
 	return rank
-}
-
-// RankBounded is Rank with early termination: it stops and reports
-// (cutoff, false) as soon as the count reaches cutoff, the optimization
-// the SIM baseline uses for reverse top-k. ok is true when the exact rank
-// (< cutoff) was determined.
-func RankBounded(P []vec.Vector, w, q vec.Vector, cutoff int, c *stats.Counters) (rank int, ok bool) {
-	if cutoff <= 0 {
-		return 0, false
-	}
-	fq := vec.Dot(w, q)
-	if c != nil {
-		c.PairwiseMults++
-	}
-	for _, p := range P {
-		if c != nil {
-			c.PairwiseMults++
-			c.PointsVisited++
-		}
-		if vec.Dot(w, p) < fq {
-			rank++
-			if rank >= cutoff {
-				return cutoff, false
-			}
-		}
-	}
-	return rank, true
 }
 
 // Match is one element of a reverse k-ranks answer: a weight vector index

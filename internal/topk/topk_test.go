@@ -228,3 +228,29 @@ func TestNewKRankHeapPanics(t *testing.T) {
 	}()
 	NewKRankHeap(0)
 }
+
+// RankBounded is the test-side per-point early-exit rank: Rank with early
+// termination, reporting (cutoff, false) as soon as the count reaches
+// cutoff. ok is true when the exact rank (< cutoff) was determined.
+func RankBounded(P []vec.Vector, w, q vec.Vector, cutoff int, c *stats.Counters) (rank int, ok bool) {
+	if cutoff <= 0 {
+		return 0, false
+	}
+	fq := vec.Dot(w, q)
+	if c != nil {
+		c.PairwiseMults++
+	}
+	for _, p := range P {
+		if c != nil {
+			c.PairwiseMults++
+			c.PointsVisited++
+		}
+		if vec.Dot(w, p) < fq {
+			rank++
+			if rank >= cutoff {
+				return cutoff, false
+			}
+		}
+	}
+	return rank, true
+}

@@ -26,10 +26,6 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// HostLittleEndian reports whether zero-copy casts are possible on this
-// machine.
-func HostLittleEndian() bool { return hostLittleEndian }
-
 // aligned reports whether b's base pointer is a multiple of align
 // (which must be a power of two).
 func aligned(b []byte, align uintptr) bool {

@@ -29,7 +29,7 @@ func TestCastRoundTrip(t *testing.T) {
 		t.Fatalf("DecodeUint64s = %v, want %v", got, words)
 	}
 
-	if !HostLittleEndian() {
+	if !hostLittleEndian {
 		t.Skip("big-endian host: zero-copy casts are deliberately unavailable")
 	}
 	// Copy into aligned storage: the encode fallbacks return plain []byte
@@ -65,7 +65,7 @@ func TestCastRoundTrip(t *testing.T) {
 // TestCastIsZeroCopy proves a cast aliases the input storage rather than
 // copying it.
 func TestCastIsZeroCopy(t *testing.T) {
-	if !HostLittleEndian() {
+	if !hostLittleEndian {
 		t.Skip("big-endian host")
 	}
 	b := AlignedBytes(16)
@@ -86,7 +86,7 @@ func TestCastIsZeroCopy(t *testing.T) {
 // TestCastRejectsMisaligned proves the casts refuse byte slices whose
 // base pointer the target type cannot legally address.
 func TestCastRejectsMisaligned(t *testing.T) {
-	if !HostLittleEndian() {
+	if !hostLittleEndian {
 		t.Skip("big-endian host")
 	}
 	b := AlignedBytes(24)
@@ -124,7 +124,7 @@ func TestAlignedBytes(t *testing.T) {
 
 // TestCastEmpty pins the empty-slice contract: legal, zero-copy, nil.
 func TestCastEmpty(t *testing.T) {
-	if !HostLittleEndian() {
+	if !hostLittleEndian {
 		t.Skip("big-endian host")
 	}
 	if got, ok := CastFloat64s(nil); !ok || got != nil {

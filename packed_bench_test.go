@@ -11,12 +11,13 @@ import (
 	"testing"
 
 	"gridrank/internal/algo"
+	"gridrank/internal/vec"
 )
 
 func benchGIRLayoutRKR(b *testing.B, d, packedBits int) {
 	b.Helper()
 	data := makeBenchData(b, 4000, 1000, d)
-	gir := algo.NewGIRLayout(data.P, data.W, DefaultRange, 32, algo.Layout{PackedBits: packedBits})
+	gir := algo.NewGIRFromMatrices(vec.NewMatrix(data.P), vec.NewMatrix(data.W), DefaultRange, 32, algo.Layout{PackedBits: packedBits})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gir.ReverseKRanks(data.q, 100, nil)
@@ -26,7 +27,7 @@ func benchGIRLayoutRKR(b *testing.B, d, packedBits int) {
 func benchGIRLayoutRTK(b *testing.B, d, packedBits int) {
 	b.Helper()
 	data := makeBenchData(b, 4000, 1000, d)
-	gir := algo.NewGIRLayout(data.P, data.W, DefaultRange, 32, algo.Layout{PackedBits: packedBits})
+	gir := algo.NewGIRFromMatrices(vec.NewMatrix(data.P), vec.NewMatrix(data.W), DefaultRange, 32, algo.Layout{PackedBits: packedBits})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gir.ReverseTopK(data.q, 100, nil)

@@ -9,7 +9,9 @@ package gridrank
 //	go test -bench 'BenchmarkGIRParallel|BenchmarkIndexConstruction' -benchtime 3x
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"gridrank/internal/algo"
@@ -29,14 +31,14 @@ func BenchmarkGIRParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("rkr/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gir.ReverseKRanksParallel(data.q, 10, workers, nil)
+				gir.ReverseKRanksOpts(context.Background(), data.q, 10, algo.QueryOpts{Workers: workers})
 			}
 		})
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("rtk/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gir.ReverseTopKParallel(data.q, 100, workers, nil)
+				gir.ReverseTopKOpts(context.Background(), data.q, 100, algo.QueryOpts{Workers: workers})
 			}
 		})
 	}
@@ -44,15 +46,17 @@ func BenchmarkGIRParallel(b *testing.B) {
 
 // BenchmarkIndexConstructionParallel measures the cold-start cost the
 // sharded row fill attacks: building P^(A) and W^(A) for the same
-// 5k x 50k workload.
+// 5k x 50k workload. The builders use GOMAXPROCS workers, so the sweep
+// sets it per sub-benchmark.
 func BenchmarkIndexConstructionParallel(b *testing.B) {
 	data := makeBenchData(b, 5000, 50000, 6)
 	g := grid.New(32, DefaultRange, 1)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			for i := 0; i < b.N; i++ {
-				grid.NewPointIndexParallel(g, data.P, workers)
-				grid.NewWeightIndexParallel(g, data.W, workers)
+				grid.NewPointIndex(g, data.P)
+				grid.NewWeightIndex(g, data.W)
 			}
 		})
 	}

@@ -169,7 +169,7 @@ func readIndexSized(r io.Reader, sizeHint int64) (*Index, error) {
 	// the index views and the algorithm.
 	pm := vec.MatrixFromFlat(pset.Data, pset.Dim)
 	wm := vec.MatrixFromFlat(wset.Data, wset.Dim)
-	gir := algo.NewGIRFromMatricesLayout(pm, wm, rangeP, n, algo.Layout{PackedBits: packedBits})
+	gir := algo.NewGIRFromMatrices(pm, wm, rangeP, n, algo.Layout{PackedBits: packedBits})
 	if packedBits > 0 {
 		// The stored packed section must match the cells rebuilt from the
 		// data sections exactly: a mismatch means some section was

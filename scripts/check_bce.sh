@@ -45,7 +45,7 @@ check internal/algo/gir_packed.go 12
 check internal/algo/gir_packed_widths.go 20
 check internal/algo/gir.go 23
 check internal/vec/vec.go 2
-check internal/bits/bits.go 12
+check internal/bits/bits.go 5
 check internal/topk/topk.go 25
 
 if [ "$bad" -ne 0 ]; then
