@@ -1,12 +1,13 @@
 // Command rrqdiag captures and validates one-shot diagnostics bundles
 // for incident forensics.
 //
-// Fetch a live server's bundle (goroutine dump, runtime stats,
+// Fetch a live server's bundle from its operator listener (rrqserver
+// -pprof-addr) — goroutine dump, runtime stats,
 // OpenMetrics snapshot with exemplars, flight-recorder digests, kept
 // traces, index metadata, sanitized config — all captured in the same
-// instant, checksummed in a manifest):
+// instant, checksummed in a manifest:
 //
-//	rrqdiag -server http://localhost:8080 -out rrq-diag.tar.gz
+//	rrqdiag -server http://localhost:6060 -out rrq-diag.tar.gz
 //
 // Build a local bundle from an index file when no server is running:
 //

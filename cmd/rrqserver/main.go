@@ -7,12 +7,16 @@
 //
 // Endpoints (JSON): GET /healthz, GET /metrics, GET /v1/index,
 // POST /v1/reverse-topk, /v1/reverse-kranks, /v1/batch, /v1/topk,
-// /v1/rank, the /v1/subscriptions continuous-monitor endpoints
+// /v1/rank, and the /v1/subscriptions continuous-monitor endpoints
 // (register with POST, stream enter/leave events as SSE from
-// /v1/subscriptions/{id}/events), the forensic endpoints
-// GET /debug/flight (flight-recorder digests) and GET /debug/bundle
-// (one-shot diagnostics tar.gz, also fetchable with rrqdiag), and —
-// when tracing is on — GET /debug/traces and GET /debug/traces/{id}.
+// /v1/subscriptions/{id}/events).
+//
+// The operator listener, -pprof-addr, serves net/http/pprof and the
+// forensic endpoints: GET /debug/flight (flight-recorder digests),
+// GET /debug/bundle (one-shot diagnostics tar.gz, also fetchable with
+// rrqdiag) and — when tracing is on — GET /debug/traces and
+// GET /debug/traces/{id}. They reveal goroutine stacks, traces and
+// configuration, so they are never on the query port.
 //
 //	curl -s localhost:8080/v1/reverse-kranks \
 //	  -d '{"product": 42, "k": 10, "stats": true, "timeoutMs": 500}'
@@ -22,7 +26,7 @@
 // -slow-query additionally captures every query over the threshold and
 // logs one structured "slow query" line with its Case-1/2/3 breakdown.
 // Completed traces live in a bounded in-memory ring (-trace-buffer) and
-// are served by the /debug/traces endpoints.
+// are served by the /debug/traces endpoints on -pprof-addr.
 //
 //	rrqserver -demo -trace-sample 0.01 -slow-query 250ms
 //
@@ -61,21 +65,20 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		index    = flag.String("index", "", "index file saved with gridrank (see rrqgen + library Save)")
-		mmap     = flag.Bool("mmap", false, "memory-map the -index file (GRI3) instead of reading it onto the heap")
+		mmap     = flag.Bool("mmap", false, "memory-map the -index file instead of reading it onto the heap")
 		demo     = flag.Bool("demo", false, "serve a synthetic index instead of a file")
 		dist     = flag.String("dist", "UN", "demo distribution (UN, CL, AC, DIANPING, ...)")
 		np       = flag.Int("np", 10000, "demo products")
 		nw       = flag.Int("nw", 5000, "demo preferences")
 		d        = flag.Int("d", 6, "demo dimensionality")
 		seed     = flag.Int64("seed", 1, "demo seed")
-		packed   = flag.Int("packed-bits", 0, "demo index layout: bit-packed cell rows at 4-8 bits per dimension (0 = float64)")
 		par      = flag.Int("parallel", 0, "default intra-query workers per query (0 or 1 = sequential)")
 		maxP     = flag.Int("max-parallel", 0, "cap on the per-request parallelism field (0 = GOMAXPROCS)")
 		qTimeout = flag.Duration("query-timeout", 0, "default per-query deadline, e.g. 2s (0 = none; requests may override with timeoutMs)")
 		maxBatch = flag.Int("max-batch", 0, "max queries per /v1/batch request (0 = default)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain period for in-flight requests")
 		logFmt   = flag.String("log", "text", "request log format: text, json, or off")
-		pprofA   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 (off when empty)")
+		pprofA   = flag.String("pprof-addr", "", "operator listener for net/http/pprof and the /debug forensic routes, e.g. localhost:6060 (off when empty)")
 		sample   = flag.Float64("trace-sample", 0, "fraction of queries traced span-by-span, 0..1 (0 = off)")
 		slowQ    = flag.Duration("slow-query", 0, "capture and log every query slower than this, e.g. 250ms (0 = off)")
 		traceBuf = flag.Int("trace-buffer", 0, "completed traces kept in memory, rounded up to a power of two (0 = default)")
@@ -104,7 +107,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rrqserver:", err)
 		os.Exit(1)
 	}
-	ix, err := buildIndex(*index, *mmap, *demo, *dist, *np, *nw, *d, *seed, *packed)
+	ix, err := buildIndex(*index, *mmap, *demo, *dist, *np, *nw, *d, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rrqserver:", err)
 		os.Exit(1)
@@ -118,15 +121,10 @@ func main() {
 		"preferences", ix.NumPreferences(),
 		"dim", ix.Dim(),
 		"gridPartitions", ix.GridPartitions(),
-		"packed", ix.Layout().Packed,
-		"format", ix.Format(),
 		"resident", ix.Resident(),
 		"addr", *addr,
 		"queryTimeout", qTimeout.String(),
 	)
-	if *pprofA != "" {
-		go servePprof(*pprofA)
-	}
 	handler := server.NewWithConfig(ix, server.Config{
 		MaxParallelism:  *maxP,
 		QueryTimeout:    *qTimeout,
@@ -142,6 +140,9 @@ func main() {
 		OTLPEndpoint:    *otlpEp,
 		OTLPServiceName: *otlpSvc,
 	})
+	if *pprofA != "" {
+		go serveAdmin(*pprofA, handler.AdminHandler())
+	}
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           handler,
@@ -153,21 +154,23 @@ func main() {
 	}
 }
 
-// servePprof serves the net/http/pprof endpoints on their own listener,
-// kept off the query port so profiling is never exposed wherever the API
-// is. The handlers are registered on a private mux (not DefaultServeMux)
-// and the listener dies with the process — profiling is operator
-// tooling, not part of the graceful-shutdown contract.
-func servePprof(addr string) {
+// serveAdmin serves the net/http/pprof endpoints and the server's
+// forensic /debug routes (admin) on their own listener, kept off the
+// query port so profiles, goroutine dumps and configuration are never
+// exposed wherever the API is. The handlers are registered on a private
+// mux (not DefaultServeMux) and the listener dies with the process —
+// this is operator tooling, not part of the graceful-shutdown contract.
+func serveAdmin(addr string, admin http.Handler) {
 	mux := http.NewServeMux()
+	mux.Handle("/debug/", admin)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	slog.Info("pprof listening", "addr", addr)
+	slog.Info("admin listening", "addr", addr)
 	if err := http.ListenAndServe(addr, mux); err != nil {
-		slog.Error("pprof listener failed", "err", err)
+		slog.Error("admin listener failed", "err", err)
 	}
 }
 
@@ -218,14 +221,11 @@ func buildLogger(format string) (*slog.Logger, error) {
 	}
 }
 
-func buildIndex(path string, mmap, demo bool, dist string, np, nw, d int, seed int64, packedBits int) (*gridrank.Index, error) {
+func buildIndex(path string, mmap, demo bool, dist string, np, nw, d int, seed int64) (*gridrank.Index, error) {
 	switch {
 	case path != "" && demo:
 		return nil, fmt.Errorf("-index and -demo are mutually exclusive")
 	case path != "":
-		if packedBits != 0 {
-			return nil, fmt.Errorf("-packed-bits applies only to -demo; a loaded index keeps its saved layout")
-		}
 		if mmap {
 			return gridrank.LoadMmap(path)
 		}
@@ -245,7 +245,7 @@ func buildIndex(path string, mmap, demo bool, dist string, np, nw, d int, seed i
 		if err != nil {
 			return nil, err
 		}
-		return gridrank.New(P, W, &gridrank.Options{PackedBits: packedBits})
+		return gridrank.New(P, W, nil)
 	default:
 		return nil, fmt.Errorf("one of -index or -demo is required")
 	}

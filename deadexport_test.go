@@ -14,7 +14,7 @@ import (
 // deadExportPkgs are the internal packages whose exported API is
 // guarded: every exported func, method and type must be named by some
 // non-test file other than the one declaring it.
-var deadExportPkgs = []string{"internal/algo", "internal/grid", "internal/bits", "internal/vec", "internal/topk"}
+var deadExportPkgs = []string{"internal/algo", "internal/grid", "internal/dataset", "internal/vec", "internal/topk"}
 
 // stdlibMethodNames are method names that satisfy standard-library
 // interfaces (sort.Interface, heap.Interface, fmt.Stringer, error,

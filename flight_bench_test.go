@@ -1,7 +1,7 @@
 package gridrank
 
 // BenchmarkFlightRecorderOverhead prices the always-on flight recorder
-// on the query path (tracked in BENCH_gir.json by scripts/bench.sh):
+// on the query path (go test -bench FlightRecorderOverhead):
 //
 //   - off: Options.FlightCapacity = -1, the recorder fully disabled —
 //     the pre-recorder baseline.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/crc64"
 	"testing"
 )
 
@@ -39,8 +38,8 @@ func FuzzReadIndex(f *testing.F) {
 		f.Add(valid.Bytes()[:cut])
 	}
 	// Corrupt GRI3 header fields on an otherwise valid stream: magic,
-	// grid partitions (0 and absurd), packedBits (below the floor, above
-	// the ceiling, absurd), a count field blown up.
+	// grid partitions (0 and absurd), the reserved offset-8 field (the
+	// retired packed width, small and absurd), a count field blown up.
 	corrupt := func(off int, val uint32) []byte {
 		b := append([]byte(nil), valid.Bytes()...)
 		binary.LittleEndian.PutUint32(b[off:], val)
@@ -63,14 +62,7 @@ func FuzzReadIndex(f *testing.F) {
 	// rejection must come from the canonical-layout equality, a section
 	// payload flip (section CRC mismatch), nonzero inter-section padding,
 	// and a truncated final section.
-	resign := func(b []byte) []byte {
-		sc := int(binary.LittleEndian.Uint32(b[16:]))
-		crc := crc64.New(gri3CRC)
-		crc.Write(b[:80])
-		crc.Write(b[gri3HeaderLen : gri3HeaderLen+gri3EntryLen*sc])
-		binary.LittleEndian.PutUint64(b[80:], crc.Sum64())
-		return b
-	}
+	resign := resignGRI3
 	f.Add(valid.Bytes()[:gri3HeaderLen])
 	f.Add(valid.Bytes()[:gri3HeaderLen+gri3EntryLen*5])
 	b = append([]byte(nil), valid.Bytes()...)
@@ -89,28 +81,20 @@ func FuzzReadIndex(f *testing.F) {
 	b[gri3Align-1] = 0xAA // padding byte before the first section
 	f.Add(b)
 	f.Add(valid.Bytes()[:valid.Len()-7])
-	// A packed index stream plus blind flips landing in its later
-	// sections (the offsets, relative to the unpacked stream's length,
-	// fall inside the packed stream's payload region): rejection must
-	// come from a section CRC or the padding rule.
-	pix, err := New(P, W, &Options{GridPartitions: 8, PackedBits: 4})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var packed bytes.Buffer
-	if _, err := pix.WriteTo(&packed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(packed.Bytes())
-	f.Add(packed.Bytes()[:valid.Len()]) // section truncated away
-	f.Add(packed.Bytes()[:packed.Len()-3])
+	// A stream shaped like a retired packed-layout file plus blind flips
+	// landing in its extra section (the offsets, relative to the unpacked
+	// stream's length, fall inside the packed stream's payload region):
+	// rejection must come without a panic.
+	packed := packedGRI3(valid.Bytes(), 4)
+	f.Add(packed)
+	f.Add(packed[:valid.Len()]) // section truncated away
+	f.Add(packed[:len(packed)-3])
 	for _, off := range []int{0, 8, 16, 40} {
-		b := append([]byte(nil), packed.Bytes()...)
+		b := append([]byte(nil), packed...)
 		b[valid.Len()+off] ^= 0x11
 		f.Add(b)
 	}
-	// Header claims packed over an unpacked image: the canonical layout
-	// then expects one more section than the file holds.
+	// Header claims packed over an unpacked image.
 	b = append([]byte(nil), valid.Bytes()...)
 	binary.LittleEndian.PutUint32(b[8:], 4)
 	f.Add(b)

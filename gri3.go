@@ -2,12 +2,12 @@ package gridrank
 
 // GRI3, the zero-copy index format (little endian throughout).
 //
-// Versions 1 and 2 store only the authoritative data sets and rebuild
-// the grid artifacts on load — O(|P|·d + |W|·d) cell assignments, two
-// groupings and an (n+1)² table per open. GRI3 instead stores every
-// artifact the scan needs, each as one fixed-stride machine-word array
-// at a page-aligned offset, so a load is reassembly: the file (mapped
-// or read into one aligned buffer) IS the index's memory.
+// GRI3 stores every artifact the scan needs — not just the data sets,
+// which would cost O(|P|·d + |W|·d) cell assignments, two groupings and
+// an (n+1)² table per open to rebuild from — each as one fixed-stride
+// machine-word array at a page-aligned offset, so a load is reassembly:
+// the file (mapped or read into one aligned buffer) IS the index's
+// memory.
 //
 //	header        88 bytes (layout below)
 //	section table sectionCount × 32-byte entries
@@ -17,9 +17,10 @@ package gridrank
 //
 //	 0  magic        uint32  'G''R''I''3'
 //	 4  n            uint32  grid partitions per axis
-//	 8  packedBits   uint32  scan layout: 0 = unpacked, 4..8 = packed width
+//	 8  reserved     uint32  zero (files that stored bit-packed rows here
+//	                         are rejected; see parseGRI3Header)
 //	12  dim          uint32  dimensionality
-//	16  sectionCount uint32  15, or 16 when packedBits > 0
+//	16  sectionCount uint32  15
 //	20  reserved     uint32  zero
 //	24  numP         uint64  |P|
 //	32  numW         uint64  |W|
@@ -63,9 +64,7 @@ import (
 	"math"
 
 	"gridrank/internal/algo"
-	"gridrank/internal/bits"
 	"gridrank/internal/dataset"
-	"gridrank/internal/flight"
 	"gridrank/internal/grid"
 	"gridrank/internal/vec"
 )
@@ -94,19 +93,18 @@ const (
 	secWGGroupOf              // weight grouping: element→group map
 	secWGSingle               // weight grouping: singleton cache
 	secGridTable              // boundary-product table, (n+1)² float64
-	secPackedRows             // packed point group rows, only when packedBits > 0
 )
 
 var gri3CRC = crc64.MakeTable(crc64.ECMA)
 
 // gri3Header is the decoded fixed header.
 type gri3Header struct {
-	n, packedBits, dim int
-	numP, numW         int
-	pGroups, wGroups   int
-	sections           int
-	rangeP, rangeW     float64
-	fileSize           uint64
+	n, dim           int
+	numP, numW       int
+	pGroups, wGroups int
+	sections         int
+	rangeP, rangeW   float64
+	fileSize         uint64
 }
 
 // gri3Section is one section-table entry.
@@ -124,7 +122,7 @@ func (h gri3Header) sectionLengths() []uint64 {
 	np, nw := uint64(h.numP), uint64(h.numW)
 	pg, wg := uint64(h.pGroups), uint64(h.wGroups)
 	n1 := uint64(h.n + 1)
-	ls := []uint64{
+	return []uint64{
 		np * d * 8,   // secProducts
 		nw * d * 8,   // secPrefs
 		np * d,       // secPointCells
@@ -141,11 +139,6 @@ func (h gri3Header) sectionLengths() []uint64 {
 		wg * 4,       // secWGSingle
 		n1 * n1 * 8,  // secGridTable
 	}
-	if h.packedBits > 0 {
-		cpw := uint64(64 / h.packedBits)
-		ls = append(ls, pg*((d+cpw-1)/cpw)*8) // secPackedRows
-	}
-	return ls
 }
 
 // gri3Pad rounds an offset up to the next section boundary.
@@ -173,7 +166,7 @@ func (h gri3Header) encodeHeader(table []byte) []byte {
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], indexMagicV3)
 	le.PutUint32(b[4:], uint32(h.n))
-	le.PutUint32(b[8:], uint32(h.packedBits))
+	// b[8:12] reserved, zero.
 	le.PutUint32(b[12:], uint32(h.dim))
 	le.PutUint32(b[16:], uint32(h.sections))
 	// b[20:24] reserved, zero.
@@ -194,6 +187,31 @@ func (h gri3Header) encodeHeader(table []byte) []byte {
 // badRange reports a range value unusable as a grid axis.
 func badRange(r float64) bool { return math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 }
 
+// Magics of the retired formats that stored only the data sets and
+// rebuilt the grid artifacts on every load. Nothing has written them
+// since GRI3; the readers recognize them only to reject them by name.
+const (
+	indexMagicV1 = 0x31495247 // "GRI1"
+	indexMagicV2 = 0x32495247 // "GRI2"
+)
+
+// checkMagic accepts the GRI3 magic in b's first four bytes and rejects
+// anything else, naming a retired format and how to replace the file.
+func checkMagic(b []byte) error {
+	var name string
+	switch binary.LittleEndian.Uint32(b) {
+	case indexMagicV3:
+		return nil
+	case indexMagicV1:
+		name = "GRI1"
+	case indexMagicV2:
+		name = "GRI2"
+	default:
+		return fmt.Errorf("%w: bad magic", ErrBadIndexFile)
+	}
+	return fmt.Errorf("%w: %s files are no longer readable; rebuild the index from its data sets with rrqindex build", ErrBadIndexFile, name)
+}
+
 // parseGRI3Header decodes and validates the fixed header (the CRC needs
 // the section table and is checked by parseGRI3Image). Field bounds are
 // plausibility limits: they keep every later size computation inside
@@ -201,11 +219,15 @@ func badRange(r float64) bool { return math.IsNaN(r) || math.IsInf(r, 0) || r <=
 func parseGRI3Header(b []byte) (gri3Header, error) {
 	le := binary.LittleEndian
 	var h gri3Header
-	if le.Uint32(b[0:]) != indexMagicV3 {
-		return h, fmt.Errorf("%w: bad magic", ErrBadIndexFile)
+	if err := checkMagic(b); err != nil {
+		return h, err
+	}
+	if v := le.Uint32(b[8:]); v != 0 {
+		// Files that stored the retired bit-packed point rows carry
+		// their width here.
+		return h, fmt.Errorf("%w: GRI3 header offset 8 is %d, not zero: files with bit-packed cell rows are no longer readable; rebuild the index with rrqindex build", ErrBadIndexFile, v)
 	}
 	h.n = int(le.Uint32(b[4:]))
-	h.packedBits = int(le.Uint32(b[8:]))
 	h.dim = int(le.Uint32(b[12:]))
 	h.sections = int(le.Uint32(b[16:]))
 	reserved := le.Uint32(b[20:])
@@ -218,14 +240,6 @@ func parseGRI3Header(b []byte) (gri3Header, error) {
 	h.fileSize = le.Uint64(b[72:])
 	if h.n < 1 || h.n > grid.MaxPartitions {
 		return h, fmt.Errorf("%w: implausible partition count %d", ErrBadIndexFile, h.n)
-	}
-	if h.packedBits != 0 {
-		if h.packedBits < algo.MinPackedBits || h.packedBits > algo.MaxPackedBits {
-			return h, fmt.Errorf("%w: implausible packed width %d", ErrBadIndexFile, h.packedBits)
-		}
-		if 1<<h.packedBits < h.n {
-			return h, fmt.Errorf("%w: packed width %d cannot encode %d partitions", ErrBadIndexFile, h.packedBits, h.n)
-		}
 	}
 	if h.dim < 1 || h.dim > 1<<16 {
 		return h, fmt.Errorf("%w: implausible dimension %d", ErrBadIndexFile, h.dim)
@@ -298,13 +312,6 @@ func gri3Int32s(b []byte) []int32 {
 	return vec.DecodeInt32s(b)
 }
 
-func gri3Uint64s(b []byte) []uint64 {
-	if v, ok := vec.CastUint64s(b); ok {
-		return v
-	}
-	return vec.DecodeUint64s(b)
-}
-
 // And the reverse direction for the writer: the in-memory arrays ARE
 // the payload bytes on a little-endian host.
 
@@ -320,13 +327,6 @@ func gri3I32Bytes(v []int32) []byte {
 		return b
 	}
 	return vec.EncodeInt32s(v)
-}
-
-func gri3U64Bytes(v []uint64) []byte {
-	if b, ok := vec.Uint64Bytes(v); ok {
-		return b
-	}
-	return vec.EncodeUint64s(v)
 }
 
 // parseGRI3Image assembles an epoch from a complete GRI3 file image —
@@ -399,22 +399,15 @@ func parseGRI3Image(data []byte, full bool) (*epoch, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
 	}
-	var packed *bits.PackedRows
-	if h.packedBits > 0 {
-		packed, err = bits.RowsFromWords(h.pGroups, h.dim, h.packedBits, gri3Uint64s(payload(secPackedRows)), full)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: packed rows: %v", ErrBadIndexFile, err)
-		}
-	}
 	pg, err := grid.GroupedFromParts(pa, payload(secPGRows),
 		gri3Int32s(payload(secPGMembers)), gri3Int32s(payload(secPGOffsets)),
-		gri3Int32s(payload(secPGGroupOf)), gri3Int32s(payload(secPGSingle)), packed, full)
+		gri3Int32s(payload(secPGGroupOf)), gri3Int32s(payload(secPGSingle)), full)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: point grouping: %v", ErrBadIndexFile, err)
 	}
 	wg, err := grid.GroupedFromParts(wa, payload(secWGRows),
 		gri3Int32s(payload(secWGMembers)), gri3Int32s(payload(secWGOffsets)),
-		gri3Int32s(payload(secWGGroupOf)), gri3Int32s(payload(secWGSingle)), nil, full)
+		gri3Int32s(payload(secWGGroupOf)), gri3Int32s(payload(secWGSingle)), full)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: weight grouping: %v", ErrBadIndexFile, err)
 	}
@@ -430,13 +423,12 @@ func parseGRI3Image(data []byte, full bool) (*epoch, int, error) {
 		gir: algo.NewGIRFromParts(algo.GIRParts{
 			PM: pm, WM: wm, Grid: g,
 			PA: pa, WA: wa, PG: pg, WG: wg,
-			PackedBits: h.packedBits,
 		}),
 	}, h.dim, nil
 }
 
-// verifyGRI3Semantics re-derives what versions 1 and 2 rebuild on every
-// load and demands equality: data values legal for their axes, the
+// verifyGRI3Semantics re-derives the grid artifacts from the data sets
+// and demands equality: data values legal for their axes, the
 // stored weight range canonical for the data (so a re-save stays
 // byte-identical to a fresh build), and every element cell equal to
 // re-approximating its vector — which also bounds each cell below n.
@@ -518,9 +510,6 @@ func canonicalArtifacts(e *epoch) gri3Artifacts {
 	art.g = g
 	if !art.pg.Canonical() {
 		art.pg = grid.NewGrouped(art.pa)
-		if b := e.gir.PackedBits(); b > 0 {
-			art.pg.Pack(b)
-		}
 	}
 	return art
 }
@@ -531,15 +520,14 @@ func canonicalArtifacts(e *epoch) gri3Artifacts {
 func writeGRI3(w io.Writer, e *epoch, dim int) (int64, error) {
 	art := canonicalArtifacts(e)
 	h := gri3Header{
-		n:          art.g.N(),
-		packedBits: e.gir.PackedBits(),
-		dim:        dim,
-		numP:       e.pm.Len(),
-		numW:       e.wm.Len(),
-		pGroups:    art.pg.Groups(),
-		wGroups:    art.wg.Groups(),
-		rangeP:     e.rangeP,
-		rangeW:     art.g.RangeW(),
+		n:       art.g.N(),
+		dim:     dim,
+		numP:    e.pm.Len(),
+		numW:    e.wm.Len(),
+		pGroups: art.pg.Groups(),
+		wGroups: art.wg.Groups(),
+		rangeP:  e.rangeP,
+		rangeW:  art.g.RangeW(),
 	}
 	payloads := [][]byte{
 		gri3F64Bytes(e.pm.Data()),
@@ -557,9 +545,6 @@ func writeGRI3(w io.Writer, e *epoch, dim int) (int64, error) {
 		gri3I32Bytes(art.wg.GroupMap()),
 		gri3I32Bytes(art.wg.Single()),
 		gri3F64Bytes(art.g.Table()),
-	}
-	if h.packedBits > 0 {
-		payloads = append(payloads, gri3U64Bytes(art.pg.Packed().Words()))
 	}
 	h.sections = len(payloads)
 	secs, fileSize := h.layout()
@@ -599,37 +584,6 @@ func writeGRI3(w io.Writer, e *epoch, dim int) (int64, error) {
 	}
 	err := bw.Flush()
 	return cw.n, err
-}
-
-// readIndexV3 is the heap GRI3 reader: it pulls the full image into one
-// aligned buffer (geometric growth, so a lying header cannot force a
-// huge allocation — unless sizeHint, from Load's stat of a real file,
-// already vouches for the size, in which case exactly one allocation)
-// and runs the full-validation parse.
-func readIndexV3(br io.Reader, first8 []byte, sizeHint int64) (*Index, error) {
-	head := make([]byte, gri3HeaderLen)
-	copy(head, first8)
-	if _, err := io.ReadFull(br, head[len(first8):]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-	}
-	h, err := parseGRI3Header(head)
-	if err != nil {
-		return nil, err
-	}
-	if sizeHint > 0 && uint64(sizeHint) != h.fileSize {
-		return nil, fmt.Errorf("%w: file is %d bytes, header says %d", ErrBadIndexFile, sizeHint, h.fileSize)
-	}
-	data, err := readGRI3Body(br, head, h.fileSize, sizeHint > 0)
-	if err != nil {
-		return nil, err
-	}
-	e, dim, err := parseGRI3Image(data, true)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{dim: dim, format: formatGRI3, fr: flight.New(0)}
-	ix.cur.Store(e)
-	return ix, nil
 }
 
 // readGRI3Body assembles the full file image on the heap, head first.

@@ -1,33 +1,33 @@
 package gridrank
 
-// GRI3 persistence tests: the heap/mmap equivalence harness the
-// acceptance criteria call for, the durability and allocation
-// regression tests, format migration, and structure-aware corruption
+// GRI3 persistence tests: the heap/mmap equivalence harness, the
+// durability and allocation regression tests, the frozen on-disk bytes,
+// rejection of retired formats, and structure-aware corruption
 // rejection (complementing FuzzReadIndex's blind mutations).
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc64"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
-
-	"gridrank/internal/dataset"
 )
 
 // canMmap reports whether LoadMmap actually maps on this platform (the
 // stub falls back to the heap loader).
 func canMmap() bool { return runtime.GOOS == "linux" || runtime.GOOS == "darwin" }
 
-// gri3Index builds a small index at the given packed width, saved and
-// reloaded by most tests in this file.
-func gri3Index(t testing.TB, packedBits int) *Index {
+// gri3Index builds a small index, saved and reloaded by most tests in
+// this file.
+func gri3Index(t testing.TB) *Index {
 	t.Helper()
 	P, err := GenerateProducts(31, Clustered, 300, 4)
 	if err != nil {
@@ -37,76 +37,67 @@ func gri3Index(t testing.TB, packedBits int) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := New(P, W, &Options{GridPartitions: 16, PackedBits: packedBits})
+	ix, err := New(P, W, &Options{GridPartitions: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ix
 }
 
-// TestHeapMmapEquivalence is the extended persistence harness of the
-// acceptance criteria: for every packed width, the heap-loaded and
-// mmap-loaded views of one saved file must answer byte-identically to
-// each other and to the index that wrote the file, at every worker
+// TestHeapMmapEquivalence is the persistence harness: the heap-loaded
+// and mmap-loaded views of one saved file must answer byte-identically
+// to each other and to the index that wrote the file, at every worker
 // count. It runs under -race in CI (root package race pass).
 func TestHeapMmapEquivalence(t *testing.T) {
-	for _, width := range []int{0, 4, 6, 8} {
-		t.Run(fmt.Sprintf("bits=%d", width), func(t *testing.T) {
-			ix := gri3Index(t, width)
-			path := filepath.Join(t.TempDir(), "ix.gri3")
-			if err := ix.Save(path); err != nil {
-				t.Fatal(err)
-			}
-			heap, err := Load(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mm, err := LoadMmap(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mm.Close()
-			if heap.Format() != "GRI3" || mm.Format() != "GRI3" {
-				t.Fatalf("formats %q/%q, want GRI3", heap.Format(), mm.Format())
-			}
-			if heap.Resident() != "heap" {
-				t.Fatalf("heap load resident %q", heap.Resident())
-			}
-			if canMmap() && mm.Resident() != "mmap" {
-				t.Fatalf("mmap load resident %q", mm.Resident())
-			}
-			if lay := mm.Layout(); lay.BitsPerDim != width {
-				t.Fatalf("mmap layout %+v, want %d-bit", lay, width)
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				for _, qi := range []int{0, 123, 299} {
-					q := ix.Products()[qi]
-					wantKR, err := ix.ReverseKRanksCtx(context.Background(), q, 9, WithWorkers(workers))
+	// bits=0 names the unpacked row layout, the one the index stores.
+	t.Run("bits=0", func(t *testing.T) {
+		ix := gri3Index(t)
+		path := filepath.Join(t.TempDir(), "ix.gri3")
+		if err := ix.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		heap, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm, err := LoadMmap(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mm.Close()
+		if heap.Resident() != "heap" {
+			t.Fatalf("heap load resident %q", heap.Resident())
+		}
+		if canMmap() && mm.Resident() != "mmap" {
+			t.Fatalf("mmap load resident %q", mm.Resident())
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			for _, qi := range []int{0, 123, 299} {
+				q := ix.Products()[qi]
+				wantKR, err := ix.ReverseKRanksCtx(context.Background(), q, 9, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantTK, err := ix.ReverseTopKCtx(context.Background(), q, 9, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, l := range map[string]*Index{"heap": heap, "mmap": mm} {
+					gotKR, err := l.ReverseKRanksCtx(context.Background(), q, 9, WithWorkers(workers))
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantTK, err := ix.ReverseTopKCtx(context.Background(), q, 9, WithWorkers(workers))
+					gotTK, err := l.ReverseTopKCtx(context.Background(), q, 9, WithWorkers(workers))
 					if err != nil {
 						t.Fatal(err)
 					}
-					for name, l := range map[string]*Index{"heap": heap, "mmap": mm} {
-						gotKR, err := l.ReverseKRanksCtx(context.Background(), q, 9, WithWorkers(workers))
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotTK, err := l.ReverseTopKCtx(context.Background(), q, 9, WithWorkers(workers))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if fmt.Sprintf("%+v/%+v", gotKR, gotTK) != fmt.Sprintf("%+v/%+v", wantKR, wantTK) {
-							t.Fatalf("width %d, workers %d, q %d, %s: answers diverge",
-								width, workers, qi, name)
-						}
+					if fmt.Sprintf("%+v/%+v", gotKR, gotTK) != fmt.Sprintf("%+v/%+v", wantKR, wantTK) {
+						t.Fatalf("workers %d, q %d, %s: answers diverge", workers, qi, name)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestMmapIndexMutatesAndCheckpoints: copy-on-write epochs layer over a
@@ -114,7 +105,7 @@ func TestHeapMmapEquivalence(t *testing.T) {
 // re-serialization — and Checkpoint republishes the index from the
 // newly written file without disturbing the epoch counter.
 func TestMmapIndexMutatesAndCheckpoints(t *testing.T) {
-	ix := gri3Index(t, 6)
+	ix := gri3Index(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.gri3")
 	if err := ix.Save(path); err != nil {
@@ -262,49 +253,139 @@ func TestLoadAllocationCounts(t *testing.T) {
 	}
 }
 
-// TestMigrationGRI2 hand-constructs a version-2 packed stream the way
-// the original writer produced it, loads it through the heap path, and
-// proves the re-save is byte-identical to a fresh build's GRI3 — the
-// v2 half of the migration matrix (layout_test.go covers v1).
-func TestMigrationGRI2(t *testing.T) {
-	ix := gri3Index(t, 6)
-	e := ix.snap()
-	var v2 bytes.Buffer
-	hdr := make([]byte, 4+4+4+8)
-	binary.LittleEndian.PutUint32(hdr[0:], indexMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(ix.GridPartitions()))
-	binary.LittleEndian.PutUint32(hdr[8:], 6)
-	binary.LittleEndian.PutUint64(hdr[12:], math.Float64bits(e.rangeP))
-	v2.Write(hdr)
-	if err := dataset.WriteBinary(&v2, &dataset.Dataset{Dim: ix.Dim(), Range: e.rangeP, Points: ix.Products()}); err != nil {
+// TestWriteToBytesFrozen pins the SHA-256 of WriteTo for a small fixed
+// index, fresh and after one of each mutation. The constants were taken
+// from the writer before the bit-packed layout was deleted, so they prove
+// GRI3 stayed byte-identical; any change to them is a format change.
+func TestWriteToBytesFrozen(t *testing.T) {
+	ix := gri3Index(t)
+	sum := func() string {
+		t.Helper()
+		var b bytes.Buffer
+		if _, err := ix.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.Sum256(b.Bytes())
+		return hex.EncodeToString(h[:])
+	}
+	if got, want := sum(), "d2aef9cc7894faa3a90ea6d3b6228e734f02dbec4e67c02588d0307a63b1934c"; got != want {
+		t.Fatalf("fresh index SHA-256 %s, want %s", got, want)
+	}
+	if _, err := ix.InsertProduct(Vector{0.5, 0.25, 0.75, 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dataset.WriteBinary(&v2, &dataset.Dataset{Dim: ix.Dim(), Range: 1, Points: ix.Preferences()}); err != nil {
+	if err := ix.DeleteProduct(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.gir.PointCells().PackRows(6).Write(&v2); err != nil {
+	if _, err := ix.InsertPreference(Vector{0.4, 0.3, 0.2, 0.1}); err != nil {
 		t.Fatal(err)
 	}
+	if err := ix.DeletePreference(3); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sum(), "27d98ae4f2f0429c5eb49874c834bba90a79f4ba5a2431e936b07c27eb16b681"; got != want {
+		t.Fatalf("mutated index SHA-256 %s, want %s", got, want)
+	}
+}
 
-	got, err := ReadIndex(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatalf("v2 file rejected: %v", err)
-	}
-	if got.Format() != "GRI2" {
-		t.Fatalf("format %q, want GRI2", got.Format())
-	}
-	if lay := got.Layout(); !lay.Packed || lay.BitsPerDim != 6 {
-		t.Fatalf("v2 layout lost: %+v", lay)
-	}
-	var fresh, resaved bytes.Buffer
-	if _, err := ix.WriteTo(&fresh); err != nil {
+// resignGRI3 recomputes the header CRC of a GRI3 image after a test
+// edited its header or section table.
+func resignGRI3(b []byte) []byte {
+	sc := int(binary.LittleEndian.Uint32(b[16:]))
+	crc := crc64.New(gri3CRC)
+	crc.Write(b[:80])
+	crc.Write(b[gri3HeaderLen : gri3HeaderLen+gri3EntryLen*sc])
+	binary.LittleEndian.PutUint64(b[80:], crc.Sum64())
+	return b
+}
+
+// packedGRI3 gives a valid GRI3 image the shape of a retired
+// packed-layout file: the packed width at header offset 8, a sixteenth
+// section (the packed rows) in the table and appended after the last
+// payload, and the file size and header CRC to match. The table still
+// fits the first page, so no other section moves.
+func packedGRI3(valid []byte, bits uint32) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(nil), valid...)
+	rows := bytes.Repeat([]byte{0x5a}, 64)
+	off := gri3Pad(uint64(len(b)))
+	ent := b[gri3HeaderLen+15*gri3EntryLen:]
+	le.PutUint32(ent[0:], 16)
+	le.PutUint64(ent[8:], off)
+	le.PutUint64(ent[16:], uint64(len(rows)))
+	le.PutUint64(ent[24:], crc64.Checksum(rows, gri3CRC))
+	b = append(b, make([]byte, off-uint64(len(b)))...)
+	b = append(b, rows...)
+	le.PutUint32(b[8:], bits)
+	le.PutUint32(b[16:], 16)
+	le.PutUint64(b[72:], uint64(len(b)))
+	return resignGRI3(b)
+}
+
+// TestRetiredFormatsRejected feeds hand-built headers of the retired
+// formats to every loader: GRI1/GRI2 magics and GRI3 images whose
+// reserved offset-8 field is non-zero (the retired bit-packed layout)
+// must fail with ErrBadIndexFile and a message that names the format
+// and says how to replace the file.
+func TestRetiredFormatsRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := gri3Index(t).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := got.WriteTo(&resaved); err != nil {
-		t.Fatal(err)
+	valid := buf.Bytes()
+	legacy := func(magic uint32) []byte {
+		// magic, n, rangeP: the head of a version-1 stream; the loaders
+		// must decide on the magic alone.
+		b := make([]byte, 16)
+		binary.LittleEndian.PutUint32(b[0:], magic)
+		binary.LittleEndian.PutUint32(b[4:], 16)
+		binary.LittleEndian.PutUint64(b[8:], 0x3ff0000000000000)
+		return b
 	}
-	if !bytes.Equal(resaved.Bytes(), fresh.Bytes()) {
-		t.Fatal("re-saved v2 index is not byte-identical to the fresh GRI3 stream")
+	offset8 := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(offset8[8:], 1)
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"GRI1 magic", legacy(indexMagicV1), "GRI1"},
+		{"GRI2 magic", legacy(indexMagicV2), "GRI2"},
+		{"GRI2 magic, bare", legacy(indexMagicV2)[:4], "GRI2"},
+		{"GRI3 packed 5-bit image", packedGRI3(valid, 5), "offset 8 is 5"},
+		{"GRI3 packed 8-bit image", packedGRI3(valid, 8), "offset 8 is 8"},
+		{"GRI3 offset 8 set, resigned", resignGRI3(offset8), "offset 8 is 1"},
+	}
+	dir := t.TempDir()
+	loaders := map[string]func(string) (*Index, error){
+		"ReadIndex": func(path string) (*Index, error) {
+			f, err := os.Open(path)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			return ReadIndex(f)
+		},
+		"Load":     Load,
+		"LoadMmap": LoadMmap,
+	}
+	for i, c := range cases {
+		path := filepath.Join(dir, fmt.Sprintf("retired-%d.gri", i))
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, load := range loaders {
+			ix, err := load(path)
+			if err == nil {
+				ix.Close()
+				t.Errorf("%s/%s: loaded a retired file", c.name, name)
+				continue
+			}
+			msg := err.Error()
+			if !errors.Is(err, ErrBadIndexFile) || !strings.Contains(msg, c.want) || !strings.Contains(msg, "rrqindex build") {
+				t.Errorf("%s/%s: err = %v, want ErrBadIndexFile naming %q and rrqindex build", c.name, name, err, c.want)
+			}
+		}
 	}
 }
 
@@ -314,7 +395,7 @@ func TestMigrationGRI2(t *testing.T) {
 // lies are pinned by the canonical-offset equality — re-signing the
 // header CRC must not let them through.
 func TestGRI3RejectsCorruption(t *testing.T) {
-	ix := gri3Index(t, 6)
+	ix := gri3Index(t)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -325,13 +406,7 @@ func TestGRI3RejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	secs, _ := h.layout()
-	resign := func(b []byte) []byte {
-		crc := crc64.New(gri3CRC)
-		crc.Write(b[:80])
-		crc.Write(b[gri3HeaderLen : gri3HeaderLen+gri3EntryLen*h.sections])
-		binary.LittleEndian.PutUint64(b[80:], crc.Sum64())
-		return b
-	}
+	resign := resignGRI3
 	clone := func() []byte { return append([]byte(nil), valid...) }
 	cases := map[string][]byte{
 		"flipped header byte": func() []byte { b := clone(); b[25] ^= 0x10; return b }(),

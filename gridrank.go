@@ -144,15 +144,6 @@ type Options struct {
 	// set; 0 means entries live until invalidated or evicted.
 	CacheTTL time.Duration
 
-	// PackedBits selects the physical layout of the scan structures: 0
-	// (the default) stores approximate product rows unpacked at one byte
-	// per cell; a value in [4, 8] stores them bit-packed at that many
-	// bits per cell and classifies them with the widened multi-row scan
-	// kernels (see DESIGN.md §13). Answers are byte-identical either way
-	// — only speed and memory change. 1<<PackedBits must be at least the
-	// grid partition count, so the default n=32 grid needs PackedBits ≥ 5.
-	PackedBits int
-
 	// FlightCapacity sizes the always-on flight recorder's ring (rounded
 	// up to a power of two). 0 selects the default
 	// (flight.DefaultCapacity); a negative value disables the recorder
@@ -160,19 +151,6 @@ type Options struct {
 	// allocations and a few atomic operations per query (see DESIGN.md
 	// §16).
 	FlightCapacity int
-}
-
-// Layout reports the physical representation an index was built with,
-// as returned by Index.Layout.
-type Layout struct {
-	// Packed is true when approximate product rows are stored
-	// bit-packed (Options.PackedBits > 0).
-	Packed bool
-	// BitsPerDim is the packed cell width, 0 when unpacked.
-	BitsPerDim int
-	// RowBlock is the number of rows the scan kernel classifies per
-	// call: algo.RowBlock when packed, 1 when unpacked.
-	RowBlock int
 }
 
 // ErrDimensionMismatch reports a query vector whose dimensionality does
@@ -184,10 +162,6 @@ var ErrBadK = errors.New("gridrank: k must be positive")
 
 // ErrBadParallelism reports a negative worker count.
 var ErrBadParallelism = errors.New("gridrank: parallelism must be non-negative")
-
-// ErrBadPackedBits reports an Options.PackedBits outside {0} ∪ [4, 8],
-// or one too narrow to encode the grid's partition count.
-var ErrBadPackedBits = errors.New("gridrank: invalid PackedBits")
 
 // Index holds the Grid-index over one product set and one preference
 // set. It is safe for concurrent use: queries read an immutable epoch
@@ -222,9 +196,6 @@ type Index struct {
 	// only when Options.FlightCapacity is negative — every recording
 	// site is nil-safe. Immutable after construction.
 	fr *flight.Recorder
-	// format is the on-disk format version the index came from, "" for a
-	// fresh build (see Format). Immutable after construction.
-	format string
 	// mapped holds the memory mappings backing this index's epochs
 	// (LoadMmap, Checkpoint); guarded by mu, released by Close.
 	mapped [][]byte
@@ -317,7 +288,6 @@ func New(products, preferences []Vector, opts *Options) (*Index, error) {
 
 	n := algo.DefaultPartitions
 	parallelism := 0
-	packedBits := 0
 	if opts != nil {
 		if opts.GridPartitions < 0 {
 			return nil, fmt.Errorf("gridrank: negative GridPartitions %d", opts.GridPartitions)
@@ -348,17 +318,6 @@ func New(products, preferences []Vector, opts *Options) (*Index, error) {
 			}
 			n = auto
 		}
-		if opts.PackedBits != 0 {
-			if opts.PackedBits < algo.MinPackedBits || opts.PackedBits > algo.MaxPackedBits {
-				return nil, fmt.Errorf("%w: %d outside {0} ∪ [%d, %d]",
-					ErrBadPackedBits, opts.PackedBits, algo.MinPackedBits, algo.MaxPackedBits)
-			}
-			if 1<<opts.PackedBits < n {
-				return nil, fmt.Errorf("%w: %d bits cannot encode %d grid partitions",
-					ErrBadPackedBits, opts.PackedBits, n)
-			}
-			packedBits = opts.PackedBits
-		}
 	}
 	// rangeP is the max observed value; nudge it up so the top value maps
 	// strictly inside the last cell even after floating-point rounding
@@ -382,7 +341,7 @@ func New(products, preferences []Vector, opts *Options) (*Index, error) {
 		pm:     pm,
 		wm:     wm,
 		rangeP: rangeP,
-		gir:    algo.NewGIRFromMatrices(pm, wm, rangeP, n, algo.Layout{PackedBits: packedBits}),
+		gir:    algo.NewGIRFromMatrices(pm, wm, rangeP, n),
 	})
 	if opts != nil && opts.CacheSize > 0 {
 		if err := ix.EnableCache(opts.CacheSize, opts.CacheTTL); err != nil {
@@ -424,17 +383,6 @@ func (ix *Index) SetParallelism(workers int) error {
 	}
 	ix.par.Store(int32(workers))
 	return nil
-}
-
-// Layout reports the physical representation of the current epoch's
-// scan structures: whether approximate product rows are bit-packed, at
-// what width, and how many rows the scan kernel classifies per call.
-func (ix *Index) Layout() Layout {
-	b := ix.snap().gir.PackedBits()
-	if b == 0 {
-		return Layout{Packed: false, BitsPerDim: 0, RowBlock: 1}
-	}
-	return Layout{Packed: true, BitsPerDim: b, RowBlock: algo.RowBlock}
 }
 
 // GridMemoryBytes returns the memory footprint of the boundary table.
@@ -571,8 +519,8 @@ func MonoReverseTopK(products []Vector, q Vector, k int) ([]WeightInterval, erro
 
 // RequiredPartitions returns Theorem 1's minimum grid resolution for a
 // d-dimensional data set so the model's worst-case filtering performance
-// exceeds target (for example 0.99), rounded up to a power of two so
-// approximate vectors bit-pack exactly.
+// exceeds target (for example 0.99), rounded up to a power of two — the
+// paper's b-bit cells (Section 3.2) cover exactly 2^b partitions.
 func RequiredPartitions(d int, target float64) (int, error) {
 	if target <= 0 || target >= 1 {
 		return 0, fmt.Errorf("gridrank: target %v outside (0, 1)", target)

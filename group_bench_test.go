@@ -2,8 +2,7 @@ package gridrank
 
 // Benchmarks of the cell-grouping regime: duplicate-heavy workloads where
 // many points and weights collapse onto few grid cells. The acceptance
-// workload (CL data, n=32, d=6) plus a UN/CL/AC × d × n sweep. Run via
-// scripts/bench.sh, which records the numbers in BENCH_gir.json.
+// workload (CL data, n=32, d=6) plus a UN/CL/AC × d × n sweep.
 
 import (
 	"fmt"

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"gridrank/internal/bits"
 	"gridrank/internal/grid"
 	"gridrank/internal/stats"
 	"gridrank/internal/topk"
@@ -53,14 +52,6 @@ type GIR struct {
 	pg *grid.GroupedIndex // distinct P^(A) rows with member lists
 	wg *grid.GroupedIndex // distinct W^(A) rows; MemberOrder is the scan order
 
-	// packedBits > 0 stores the distinct P^(A) rows bit-packed at that
-	// many bits per cell (Section 3.2's b·d-bit strings) and routes
-	// classification through the widened kernels of gir_packed.go; 0
-	// keeps the unpacked uint8 rows. pk caches the grouping's packed
-	// store so the hot loop reaches it in one load.
-	packedBits int
-	pk         *bits.PackedRows
-
 	// pool recycles per-query state (Domin buffer, bound scratch, result
 	// heap and buffers) so steady-state queries allocate only their result
 	// slice. Shared by the one-worker and sharded scans.
@@ -70,25 +61,6 @@ type GIR struct {
 // DefaultPartitions is the paper's default grid resolution n = 32
 // (sufficient for >99% filtering up to d ≈ 20 by Theorem 1).
 const DefaultPartitions = 32
-
-// Packed-width limits: below 4 bits a grid would have at most 8
-// partitions (too coarse to be worth a dedicated layout), above 8 a
-// cell no longer fits the uint8 unpacked rows the rest of the pipeline
-// shares.
-const (
-	MinPackedBits = 4
-	MaxPackedBits = 8
-)
-
-// Layout selects the physical representation of the scan structures.
-// The zero value is the default unpacked layout.
-type Layout struct {
-	// PackedBits of 0 keeps unpacked uint8 cell rows; a value in
-	// [MinPackedBits, MaxPackedBits] stores the distinct point rows
-	// bit-packed at that width and classifies them with the widened
-	// multi-row kernels. 1<<PackedBits must cover the grid partitions.
-	PackedBits int
-}
 
 // NewGIR builds the Grid-index for point attributes in [0, rangeP) with n
 // partitions per axis and pre-computes both approximate vector sets.
@@ -150,24 +122,23 @@ func CanonicalWeightRange(wm *vec.Matrix) float64 {
 // pre-computing both approximate vector sets and their cell groupings.
 func NewGIRWithBounder(P, W []vec.Vector, g grid.Bounder) *GIR {
 	validateSets(P, W)
-	return newGIR(vec.NewMatrix(P), vec.NewMatrix(W), g, Layout{})
+	return newGIR(vec.NewMatrix(P), vec.NewMatrix(W), g)
 }
 
-// NewGIRFromMatrices is NewGIR over pre-flattened data sets with an
-// explicit storage layout, adopting the matrices without copying. The
-// root package uses it so the index and the algorithm share one backing
-// array per set.
-func NewGIRFromMatrices(pm, wm *vec.Matrix, rangeP float64, n int, lay Layout) *GIR {
+// NewGIRFromMatrices is NewGIR over pre-flattened data sets, adopting
+// the matrices without copying. The root package uses it so the index
+// and the algorithm share one backing array per set.
+func NewGIRFromMatrices(pm, wm *vec.Matrix, rangeP float64, n int) *GIR {
 	if n < 1 {
 		panic(fmt.Sprintf("algo: grid partitions %d < 1", n))
 	}
-	return newGIR(pm, wm, grid.New(n, rangeP, CanonicalWeightRange(wm)), lay)
+	return newGIR(pm, wm, grid.New(n, rangeP, CanonicalWeightRange(wm)))
 }
 
-func newGIR(pm, wm *vec.Matrix, g grid.Bounder, lay Layout) *GIR {
+func newGIR(pm, wm *vec.Matrix, g grid.Bounder) *GIR {
 	pa := grid.NewPointIndex(g, pm.Rows())
 	wa := grid.NewWeightIndex(g, wm.Rows())
-	gr := &GIR{
+	return &GIR{
 		pm: pm,
 		wm: wm,
 		g:  g,
@@ -176,10 +147,6 @@ func newGIR(pm, wm *vec.Matrix, g grid.Bounder, lay Layout) *GIR {
 		pg: grid.NewGrouped(pa),
 		wg: grid.NewGrouped(wa),
 	}
-	if lay.PackedBits != 0 {
-		gr.enablePacked(lay.PackedBits)
-	}
-	return gr
 }
 
 // GIRParts are the precomputed artifacts NewGIRFromParts assembles a
@@ -191,9 +158,6 @@ type GIRParts struct {
 	Grid   grid.Bounder
 	PA, WA *grid.Index        // P^(A), W^(A) element cells
 	PG, WG *grid.GroupedIndex // their groupings
-	// PackedBits > 0 routes classification through the packed kernels;
-	// PG.Packed() must then hold the matching-width store.
-	PackedBits int
 }
 
 // NewGIRFromParts assembles a GIR from precomputed artifacts without
@@ -203,7 +167,7 @@ type GIRParts struct {
 // for the parts being mutually consistent; shape checks that cost more
 // than O(groups) belong there, not here.
 func NewGIRFromParts(parts GIRParts) *GIR {
-	gr := &GIR{
+	return &GIR{
 		pm: parts.PM,
 		wm: parts.WM,
 		g:  parts.Grid,
@@ -212,38 +176,7 @@ func NewGIRFromParts(parts GIRParts) *GIR {
 		pg: parts.PG,
 		wg: parts.WG,
 	}
-	if b := parts.PackedBits; b != 0 {
-		if b < MinPackedBits || b > MaxPackedBits {
-			panic(fmt.Sprintf("algo: packed bits %d outside [%d, %d]", b, MinPackedBits, MaxPackedBits))
-		}
-		pk := gr.pg.Packed()
-		if pk == nil || pk.BitsPerDim() != b {
-			panic(fmt.Sprintf("algo: parts promise %d-bit packed rows but the grouping does not carry them", b))
-		}
-		gr.packedBits = b
-		gr.pk = pk
-	}
-	return gr
 }
-
-// enablePacked validates b against the grid and materializes the packed
-// point-row store. Construction-time only: the field is read-only
-// configuration once queries are in flight.
-func (gr *GIR) enablePacked(b int) {
-	if b < MinPackedBits || b > MaxPackedBits {
-		panic(fmt.Sprintf("algo: packed bits %d outside [%d, %d]", b, MinPackedBits, MaxPackedBits))
-	}
-	if 1<<b < gr.g.N() {
-		panic(fmt.Sprintf("algo: packed bits %d cannot encode %d grid partitions", b, gr.g.N()))
-	}
-	gr.pg.Pack(b)
-	gr.packedBits = b
-	gr.pk = gr.pg.Packed()
-}
-
-// PackedBits returns the configured packed row width, 0 when the index
-// stores unpacked uint8 rows.
-func (gr *GIR) PackedBits() int { return gr.packedBits }
 
 // Name implements RTKAlgorithm and RKRAlgorithm.
 func (gr *GIR) Name() string { return "GIR" }
@@ -252,11 +185,8 @@ func (gr *GIR) Name() string { return "GIR" }
 // experiment harness).
 func (gr *GIR) Grid() grid.Bounder { return gr.g }
 
-// PointCells exposes the element-wise approximate point vectors P^(A).
-// The persistence layer packs them in element order — unlike the
-// grouped store, whose group numbering depends on mutation history —
-// so saved packed sections are byte-identical for a mutated index and
-// a fresh build over the same data.
+// PointCells exposes the element-wise approximate point vectors P^(A),
+// for the persistence layer.
 func (gr *GIR) PointCells() *grid.Index { return gr.pa }
 
 // WeightCells exposes the element-wise approximate weight vectors
@@ -305,16 +235,9 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 		return cutoff, false
 	}
 	gr.loadWeightGroup(scratch, int(gr.wg.GroupOf(wi)))
-	if gr.pk != nil && !scratch.ref {
-		return gr.rankBoundedPacked(w, q, fq, rnk, cutoff, dom, scratch, c)
-	}
 	bnd := scratch.bounds
 	d := gr.pa.Dim()
 	n2 := 2 * gr.g.N()
-	// A packed index reaches this loop only through WithLayoutReference;
-	// its gathered table uses the packed split layout, so route
-	// classification through the matching scalar classifier.
-	split := gr.pk != nil
 	rows := gr.pg.Rows()
 	single := gr.pg.Single()
 	groupLive := dom.groupLive
@@ -338,12 +261,7 @@ func (gr *GIR) rankBounded(wi int, q vec.Vector, cutoff int, dom *domin, scratch
 			c.BoundSums++
 			c.ApproxVisited++
 		}
-		var cs int32
-		if split {
-			cs = classifyRowSplit(rows[base:base+d], bnd, fq)
-		} else {
-			cs = classifyRow(rows[base:base+d], bnd, n2, fq)
-		}
+		cs := classifyRow(rows[base:base+d], bnd, n2, fq)
 		if cs == caseBefore { // Case 1: the whole group precedes q
 			rnk += live
 			if c != nil {
@@ -492,56 +410,22 @@ func (gr *GIR) refineGroup(g int, w, q vec.Vector, fq float64, rnk, cutoff int, 
 type girScratch struct {
 	bounds []float64
 	wgid   int32
-	// ref forces the unpacked float64 classification path for this query
-	// even when the index stores packed rows (the WithLayoutReference
-	// debugging aid). Reset on every getState.
-	ref bool
-}
-
-// boundStride is the per-dimension stride, in float64s, of the gathered
-// bound table. Unpacked indexes use the tight 2n (interleaved addend
-// pairs for the n point cells, nothing else). Packed indexes pad every
-// dimension to the constant packedBoundStride and split it into
-// lower/upper halves so the packed kernels can prove their table loads
-// in bounds and address them without per-row index arithmetic (see
-// gir_packed.go); only 2n entries per dimension are ever written or
-// read — cell codes are < n — and each row sum adds the same addend
-// values in the same dimension order in both layouts.
-func (gr *GIR) boundStride() int {
-	if gr.pk != nil {
-		return packedBoundStride
-	}
-	return 2 * gr.g.N()
 }
 
 // loadWeightGroup gathers the grid columns selected by the weight
 // group's approximate vector into the flat per-query scratch
-// (Equations 3 and 4, column-wise). The unpacked layout interleaves:
-// bnd[i·2n + 2·pc] is the lower addend and bnd[i·2n + 2·pc + 1] the
-// upper addend for dimension i, point cell pc, so the two addends of a
-// cell share a cache line. The packed layout splits each dimension's
-// stride into halves: bnd[i·s + pc] lower, bnd[i·s + packedBoundHalf +
-// pc] upper, the shape the packed kernels address with zero index
-// arithmetic. Touched entries are d·2n floats either way —
-// L1-resident for the paper's configurations. Weights are visited in
-// cell-sorted order, so consecutive rankBounded calls usually hit the
-// tag and skip the gather entirely.
+// (Equations 3 and 4, column-wise), interleaved: bnd[i·2n + 2·pc] is
+// the lower addend and bnd[i·2n + 2·pc + 1] the upper addend for
+// dimension i, point cell pc, so the two addends of a cell share a cache
+// line. The table is d·2n floats — L1-resident for the paper's
+// configurations. Weights are visited in cell-sorted order, so
+// consecutive rankBounded calls usually hit the tag and skip the gather
+// entirely.
 func (gr *GIR) loadWeightGroup(scratch *girScratch, wgid int) {
 	if scratch.wgid == int32(wgid) {
 		return
 	}
 	bnd := scratch.bounds
-	if gr.pk != nil {
-		for i, wc := range gr.wg.Row(wgid) {
-			loCol := gr.g.LowerColumn(wc)
-			upCol := gr.g.UpperColumn(wc)
-			row := bnd[i*packedBoundStride : i*packedBoundStride+packedBoundStride]
-			copy(row, loCol)
-			copy(row[packedBoundHalf:], upCol)
-		}
-		scratch.wgid = int32(wgid)
-		return
-	}
 	n2 := 2 * gr.g.N()
 	for i, wc := range gr.wg.Row(wgid) {
 		loCol := gr.g.LowerColumn(wc)
@@ -557,7 +441,7 @@ func (gr *GIR) loadWeightGroup(scratch *girScratch, wgid int) {
 
 func (gr *GIR) newScratch() *girScratch {
 	return &girScratch{
-		bounds: make([]float64, gr.pa.Dim()*gr.boundStride()),
+		bounds: make([]float64, gr.pa.Dim()*2*gr.g.N()),
 		wgid:   -1,
 	}
 }
@@ -595,7 +479,6 @@ type queryState struct {
 func (gr *GIR) getState() *queryState {
 	if st, ok := gr.pool.Get().(*queryState); ok {
 		st.dom.reset()
-		st.scratch.ref = false
 		st.res = st.res[:0]
 		return st
 	}
@@ -624,7 +507,7 @@ func (gr *GIR) ReverseTopK(q vec.Vector, k int, c *stats.Counters) []int {
 
 // QueryOpts bundles the per-query execution knobs of ReverseTopKOpts and
 // ReverseKRanksOpts. The zero value runs a one-worker, untraced,
-// uncounted query on the index's native layout.
+// uncounted query.
 type QueryOpts struct {
 	// Workers shards W across that many goroutines; 1 or less runs the
 	// scan inline on the caller's goroutine. Answers are identical at
@@ -637,11 +520,6 @@ type QueryOpts struct {
 	// refinements, the filter rate and the dominator count). A nil trace
 	// adds no work to the query path.
 	Trace *trace.Trace
-	// Reference forces the unpacked float64 classification path for this
-	// query even on a packed-layout index — a debugging/bisection aid;
-	// answers are byte-identical either way (the equivalence tests are
-	// the proof).
-	Reference bool
 }
 
 // ReverseTopKOpts is GIRTop-k (Algorithm 2) under a context, with the
@@ -666,11 +544,10 @@ func (gr *GIR) ReverseTopKOpts(ctx context.Context, q vec.Vector, k int, opts Qu
 		return nil, err
 	}
 	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
-		return gr.reverseTopKParallel(ctx, q, k, workers, c, tr, opts.Reference)
+		return gr.reverseTopKParallel(ctx, q, k, workers, c, tr)
 	}
 	st := gr.getState()
 	defer gr.putState(st)
-	st.scratch.ref = opts.Reference
 	sp := tr.StartSpan("scan")
 	base := counterBaseline(sp, c)
 	_, err := gr.scanTopK(ctx, gr.wg.MemberOrder(), q, k, st, c)
@@ -754,11 +631,10 @@ func (gr *GIR) ReverseKRanksOpts(ctx context.Context, q vec.Vector, k int, opts 
 		return nil, err
 	}
 	if workers := normalizeWorkers(opts.Workers, gr.wm.Len()); workers > 1 {
-		return gr.reverseKRanksParallel(ctx, q, k, workers, c, tr, opts.Reference)
+		return gr.reverseKRanksParallel(ctx, q, k, workers, c, tr)
 	}
 	st := gr.getState()
 	defer gr.putState(st)
-	st.scratch.ref = opts.Reference
 	st.heap.Reset(k)
 	sp := tr.StartSpan("scan")
 	base := counterBaseline(sp, c)

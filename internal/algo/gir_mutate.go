@@ -48,7 +48,6 @@ func (gr *GIR) WithAppendedPoint(pm *vec.Matrix) *GIR {
 	return &GIR{
 		pm: pm, wm: gr.wm, DisableDomin: gr.DisableDomin,
 		g: gr.g, pa: pa, wa: gr.wa, pg: pg, wg: gr.wg,
-		packedBits: gr.packedBits, pk: pg.Packed(),
 	}
 }
 
@@ -60,7 +59,6 @@ func (gr *GIR) WithRemovedPoint(pm *vec.Matrix, i int) *GIR {
 	return &GIR{
 		pm: pm, wm: gr.wm, DisableDomin: gr.DisableDomin,
 		g: gr.g, pa: pa, wa: gr.wa, pg: pg, wg: gr.wg,
-		packedBits: gr.packedBits, pk: pg.Packed(),
 	}
 }
 
@@ -71,7 +69,6 @@ func (gr *GIR) WithAppendedWeight(wm *vec.Matrix) *GIR {
 	return &GIR{
 		pm: gr.pm, wm: wm, DisableDomin: gr.DisableDomin,
 		g: gr.g, pa: gr.pa, wa: wa, pg: gr.pg, wg: gr.wg.WithAppended(wa),
-		packedBits: gr.packedBits, pk: gr.pk,
 	}
 }
 
@@ -82,6 +79,5 @@ func (gr *GIR) WithRemovedWeight(wm *vec.Matrix, i int) *GIR {
 	return &GIR{
 		pm: gr.pm, wm: wm, DisableDomin: gr.DisableDomin,
 		g: gr.g, pa: gr.pa, wa: wa, pg: gr.pg, wg: gr.wg.WithRemoved(wa, i),
-		packedBits: gr.packedBits, pk: gr.pk,
 	}
 }

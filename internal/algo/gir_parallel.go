@@ -148,24 +148,12 @@ func (wm *rankWatermark) cutoff(local int) int {
 	return local
 }
 
-// layoutLabel names the scan layout for profiler labels.
-func (gr *GIR) layoutLabel() string {
-	if gr.pk != nil {
-		return "packed"
-	}
-	return "float64"
-}
-
 // scanLabels builds the pprof label set stamped on every scan worker
 // goroutine, so a goroutine or CPU profile taken during an incident
-// attributes worker time to the query kind, its k and the index layout
-// (go tool pprof -tagfocus rrq_query=reverse_topk ...).
-func (gr *GIR) scanLabels(kind string, k int) pprof.LabelSet {
-	return pprof.Labels(
-		"rrq_query", kind,
-		"rrq_k", strconv.Itoa(k),
-		"rrq_layout", gr.layoutLabel(),
-	)
+// attributes worker time to the query kind and its k (go tool pprof
+// -tagfocus rrq_query=reverse_topk ...).
+func scanLabels(kind string, k int) pprof.LabelSet {
+	return pprof.Labels("rrq_query", kind, "rrq_k", strconv.Itoa(k))
 }
 
 // claimChunk hands out the next unclaimed chunk of order from cursor,
@@ -198,12 +186,11 @@ type workerOut struct {
 // returns after every worker has finished, so cancellation never leaks
 // a goroutine; the caller merges the outputs and returns the states with
 // putStates.
-func (gr *GIR) runWorkers(ctx context.Context, sp *trace.Span, lbls pprof.LabelSet, workers int, ref bool, work func(out *workerOut) int) []workerOut {
+func (gr *GIR) runWorkers(ctx context.Context, sp *trace.Span, lbls pprof.LabelSet, workers int, work func(out *workerOut) int) []workerOut {
 	outs := make([]workerOut, workers)
 	var wg sync.WaitGroup
 	for w := range outs {
 		outs[w].st = gr.getState()
-		outs[w].st.scratch.ref = ref
 		wg.Add(1)
 		go func(widx int, out *workerOut) {
 			defer wg.Done()
@@ -245,14 +232,14 @@ func mergeCounters(c *stats.Counters, sp *trace.Span, outs []workerOut) *stats.C
 // ctx between chunk claims (chunks are capped at cancelChunk weights),
 // so cancellation stops every worker within one chunk; the coordinator
 // then joins them all and returns ctx.Err().
-func (gr *GIR) reverseTopKParallel(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace, ref bool) ([]int, error) {
+func (gr *GIR) reverseTopKParallel(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace) ([]int, error) {
 	shared := newSharedDomin(gr.pm.Len())
 	var cursor atomic.Int64
 	chunk := parallelChunk(gr.wm.Len(), workers)
 	order := gr.wg.MemberOrder()
 	sp := tr.StartSpan("scan")
 	sp.SetInt("workers", int64(workers))
-	outs := gr.runWorkers(ctx, sp, gr.scanLabels("reverse_topk", k), workers, ref, func(out *workerOut) int {
+	outs := gr.runWorkers(ctx, sp, scanLabels("reverse_topk", k), workers, func(out *workerOut) int {
 		out.st.dom.shared = shared
 		scanned := 0
 		for shared.count.Load() < int64(k) && ctx.Err() == nil {
@@ -306,14 +293,14 @@ func endWorkerSpan(wsp *trace.Span, c *stats.Counters, scanned int) {
 // private heap and the shared watermark. Callers guarantee workers >= 2,
 // k >= 1 and a live ctx on entry; the cancellation contract matches
 // reverseTopKParallel.
-func (gr *GIR) reverseKRanksParallel(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace, ref bool) ([]topk.Match, error) {
+func (gr *GIR) reverseKRanksParallel(ctx context.Context, q vec.Vector, k, workers int, c *stats.Counters, tr *trace.Trace) ([]topk.Match, error) {
 	wm := newRankWatermark()
 	var cursor atomic.Int64
 	chunk := parallelChunk(gr.wm.Len(), workers)
 	order := gr.wg.MemberOrder()
 	sp := tr.StartSpan("scan")
 	sp.SetInt("workers", int64(workers))
-	outs := gr.runWorkers(ctx, sp, gr.scanLabels("reverse_kranks", k), workers, ref, func(out *workerOut) int {
+	outs := gr.runWorkers(ctx, sp, scanLabels("reverse_kranks", k), workers, func(out *workerOut) int {
 		out.st.heap.Reset(k)
 		scanned := 0
 		for ctx.Err() == nil {

@@ -1,7 +1,6 @@
 package algo
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -136,7 +135,6 @@ func catalogSet(rng *rand.Rand, base []vec.Vector, n int) []vec.Vector {
 // duplicate-heavy catalog-sampled sets. Answers must be identical
 // element for element everywhere. Run under -race in CI.
 func TestGroupedVsReference(t *testing.T) {
-	ctx := context.Background()
 	datasets := 56
 	if testing.Short() {
 		datasets = 18
@@ -166,15 +164,6 @@ func TestGroupedVsReference(t *testing.T) {
 			brute := NewBrute(points, weights)
 			gir := NewGIR(points, weights, P.Range, n)
 			ref := NewGIR(points, weights, P.Range, n)
-			// Packed layouts at every width that can encode this grid's
-			// cells; their answers (and sequential counters) must be
-			// byte-identical to the unpacked index at every worker count.
-			var packed []*GIR
-			for _, b := range []int{4, 5, 6, 8} {
-				if 1<<b >= n {
-					packed = append(packed, newGIRLayout(points, weights, P.Range, n, Layout{PackedBits: b}))
-				}
-			}
 			for qi := 0; qi < 2; qi++ {
 				var q vec.Vector
 				if qi == 0 {
@@ -204,34 +193,6 @@ func TestGroupedVsReference(t *testing.T) {
 						gotRKR := kRanksWorkers(gir, q, k, workers, nil)
 						if !equalMatches(gotRKR, wantRKR) {
 							t.Fatalf("grouped RKR k=%d workers=%d: got %+v want %+v", k, workers, gotRKR, wantRKR)
-						}
-					}
-					for _, pgir := range packed {
-						b := pgir.PackedBits()
-						for _, workers := range []int{1, 2, 4, 8} {
-							gotRTK, err := pgir.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: workers})
-							if err != nil || !equalInts(gotRTK, wantRTK) {
-								t.Fatalf("packed b=%d RTK k=%d workers=%d: got %v (err %v) want %v", b, k, workers, gotRTK, err, wantRTK)
-							}
-							gotRKR, err := pgir.ReverseKRanksOpts(ctx, q, k, QueryOpts{Workers: workers})
-							if err != nil || !equalMatches(gotRKR, wantRKR) {
-								t.Fatalf("packed b=%d RKR k=%d workers=%d: got %+v (err %v) want %+v", b, k, workers, gotRKR, err, wantRKR)
-							}
-						}
-						// The Reference option must route the packed index
-						// through the unpacked float64 path — identical
-						// answers AND identical sequential counters, since
-						// the packed loop mirrors the unpacked one's
-						// bookkeeping exactly.
-						var cu, cp, cr stats.Counters
-						wantU := topKWorkers(gir, q, k, 1, &cu)
-						gotP, _ := pgir.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: 1, Counters: &cp})
-						gotR, _ := pgir.ReverseTopKOpts(ctx, q, k, QueryOpts{Workers: 1, Counters: &cr, Reference: true})
-						if !equalInts(gotP, wantU) || !equalInts(gotR, wantU) {
-							t.Fatalf("packed b=%d RTK k=%d: packed %v reference %v want %v", b, k, gotP, gotR, wantU)
-						}
-						if cp != cu || cr != cu {
-							t.Fatalf("packed b=%d RTK k=%d: counters diverge\nunpacked:  %+v\npacked:    %+v\nreference: %+v", b, k, cu, cp, cr)
 						}
 					}
 				}

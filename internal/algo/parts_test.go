@@ -41,10 +41,9 @@ func partsData(seed int64, np, nw, d int, rangeP float64) ([]vec.Vector, []vec.V
 	return P, W
 }
 
-// newGIRLayout builds a GIR over copies of P and W with the given
-// storage layout.
-func newGIRLayout(P, W []vec.Vector, rangeP float64, n int, lay Layout) *GIR {
-	return NewGIRFromMatrices(vec.NewMatrix(P), vec.NewMatrix(W), rangeP, n, lay)
+// newGIRCopy builds a GIR over copies of P and W.
+func newGIRCopy(P, W []vec.Vector, rangeP float64, n int) *GIR {
+	return NewGIRFromMatrices(vec.NewMatrix(P), vec.NewMatrix(W), rangeP, n)
 }
 
 // answersEqual compares both query families on a handful of products.
@@ -62,41 +61,21 @@ func answersEqual(t *testing.T, want, got *GIR, label string) {
 
 // TestGIRFromPartsEquivalence reassembles a GIR from the artifacts a
 // built one exposes — exactly what the GRI3 readers do — and checks the
-// result answers identically, unpacked and packed.
+// result answers identically.
 func TestGIRFromPartsEquivalence(t *testing.T) {
 	P, W := partsData(91, 160, 60, 3, 50)
-	for _, bits := range []int{0, 5} {
-		base := newGIRLayout(P, W, 50, 8, Layout{PackedBits: bits})
-		got := NewGIRFromParts(GIRParts{
-			PM: base.pm, WM: base.wm,
-			Grid: base.Grid(),
-			PA:   base.PointCells(), WA: base.WeightCells(),
-			PG: base.PointGrouping(), WG: base.WeightGrouping(),
-			PackedBits: bits,
-		})
-		if got.PointGroups() != base.PointGroups() || got.WeightGroups() != base.WeightGroups() {
-			t.Fatalf("bits=%d: groups %d/%d, want %d/%d", bits,
-				got.PointGroups(), got.WeightGroups(), base.PointGroups(), base.WeightGroups())
-		}
-		if got.PackedBits() != bits {
-			t.Fatalf("bits=%d: PackedBits %d", bits, got.PackedBits())
-		}
-		answersEqual(t, base, got, fmt.Sprintf("bits=%d", bits))
-	}
-	// A packed width without a matching packed store is a programming
-	// error the constructor must refuse loudly.
-	base := newGIRLayout(P, W, 50, 8, Layout{})
-	defer func() {
-		if recover() == nil {
-			t.Error("NewGIRFromParts accepted PackedBits without a packed store")
-		}
-	}()
-	NewGIRFromParts(GIRParts{
-		PM: base.pm, WM: base.wm, Grid: base.Grid(),
-		PA: base.PointCells(), WA: base.WeightCells(),
+	base := newGIRCopy(P, W, 50, 8)
+	got := NewGIRFromParts(GIRParts{
+		PM: base.pm, WM: base.wm,
+		Grid: base.Grid(),
+		PA:   base.PointCells(), WA: base.WeightCells(),
 		PG: base.PointGrouping(), WG: base.WeightGrouping(),
-		PackedBits: 5,
 	})
+	if got.PointGroups() != base.PointGroups() || got.WeightGroups() != base.WeightGroups() {
+		t.Fatalf("groups %d/%d, want %d/%d",
+			got.PointGroups(), got.WeightGroups(), base.PointGroups(), base.WeightGroups())
+	}
+	answersEqual(t, base, got, "from parts")
 }
 
 // TestGIRCanonicalWeightRange pins the derivation the persist layer
@@ -121,7 +100,7 @@ func TestGIRCanonicalWeightRange(t *testing.T) {
 // accessors the derivations are gated on.
 func TestGIRMutateDerivations(t *testing.T) {
 	P, W := partsData(93, 120, 50, 3, 50)
-	base := newGIRLayout(P, W, 50, 8, Layout{PackedBits: 4})
+	base := newGIRCopy(P, W, 50, 8)
 	if base.PointRange() != 50 {
 		t.Fatalf("PointRange = %v", base.PointRange())
 	}
@@ -132,13 +111,13 @@ func TestGIRMutateDerivations(t *testing.T) {
 	// Append a point.
 	addP := append(append([]vec.Vector(nil), P...), vec.Vector{25, 10, 40})
 	got := base.WithAppendedPoint(vec.NewMatrix(addP))
-	want := newGIRLayout(addP, W, 50, 8, Layout{PackedBits: 4})
+	want := newGIRCopy(addP, W, 50, 8)
 	answersEqual(t, want, got, "appended point")
 
 	// Remove a point.
 	delP := append(append([]vec.Vector(nil), P[:7]...), P[8:]...)
 	got = base.WithRemovedPoint(vec.NewMatrix(delP), 7)
-	want = newGIRLayout(delP, W, 50, 8, Layout{PackedBits: 4})
+	want = newGIRCopy(delP, W, 50, 8)
 	answersEqual(t, want, got, "removed point")
 
 	// Append a weight (inside the current weight range, so the grid is
@@ -147,7 +126,7 @@ func TestGIRMutateDerivations(t *testing.T) {
 	copy(nw, W[0])
 	addW := append(append([]vec.Vector(nil), W...), nw)
 	got = base.WithAppendedWeight(vec.NewMatrix(addW))
-	want = newGIR(vec.NewMatrix(P), vec.NewMatrix(addW), base.Grid(), Layout{PackedBits: 4})
+	want = newGIR(vec.NewMatrix(P), vec.NewMatrix(addW), base.Grid())
 	answersEqual(t, want, got, "appended weight")
 
 	// Remove a weight. The canonical range may shrink, so compare
@@ -155,6 +134,6 @@ func TestGIRMutateDerivations(t *testing.T) {
 	// promises), not a canonical rebuild.
 	delW := append(append([]vec.Vector(nil), W[:3]...), W[4:]...)
 	got = base.WithRemovedWeight(vec.NewMatrix(delW), 3)
-	want = newGIR(vec.NewMatrix(P), vec.NewMatrix(delW), base.Grid(), Layout{PackedBits: 4})
+	want = newGIR(vec.NewMatrix(P), vec.NewMatrix(delW), base.Grid())
 	answersEqual(t, want, got, "removed weight")
 }

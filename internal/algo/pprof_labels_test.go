@@ -18,8 +18,8 @@ import (
 // goroutine profile (debug=1, which prints goroutine labels) until the
 // scan workers' rrq_* labels show up. This is the contract the
 // incident-forensics workflow leans on: a goroutine or CPU profile
-// taken during an incident attributes worker time to query kind, k and
-// layout without any code change.
+// taken during an incident attributes worker time to query kind and k
+// without any code change.
 func TestScanWorkerPprofLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	P := dataset.GenerateProducts(rng, dataset.Uniform, 4000, 6, dataset.DefaultRange)
@@ -56,9 +56,6 @@ func TestScanWorkerPprofLabels(t *testing.T) {
 		last = buf.String()
 		if strings.Contains(last, `"rrq_query":"reverse_topk"`) ||
 			strings.Contains(last, `"rrq_query":"reverse_kranks"`) {
-			if !strings.Contains(last, `"rrq_layout":"float64"`) {
-				t.Errorf("worker labels missing rrq_layout: %s", relevantLines(last))
-			}
 			if !strings.Contains(last, `"rrq_k":`) {
 				t.Errorf("worker labels missing rrq_k: %s", relevantLines(last))
 			}

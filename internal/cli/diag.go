@@ -3,11 +3,12 @@ package cli
 // The rrqdiag tool: one-shot diagnostics capture for incident forensics.
 // Three modes, mutually exclusive:
 //
-//	rrqdiag -server http://localhost:8080 -out rrq-diag.tar.gz
+//	rrqdiag -server http://localhost:6060 -out rrq-diag.tar.gz
 //	rrqdiag -index catalogue.gri [-mmap] -out rrq-diag.tar.gz
 //	rrqdiag -inspect rrq-diag.tar.gz
 //
-// Server mode fetches GET /debug/bundle from a live rrqserver — the
+// Server mode fetches GET /debug/bundle from a live rrqserver's
+// operator listener (its -pprof-addr, not the query port) — the
 // whole point-in-time capture (goroutines, runtime stats, OpenMetrics
 // snapshot, flight-recorder digests, kept traces, index metadata,
 // sanitized config) assembled in one instant on the server. Index mode
@@ -36,7 +37,7 @@ import (
 func RunDiag(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("rrqdiag", flag.ContinueOnError)
 	fs.SetOutput(w)
-	server := fs.String("server", "", "base URL of a live rrqserver; fetches its /debug/bundle")
+	server := fs.String("server", "", "base URL of a live rrqserver's -pprof-addr listener; fetches its /debug/bundle")
 	index := fs.String("index", "", "index file; builds a local bundle without a server")
 	useMmap := fs.Bool("mmap", false, "memory-map the -index file (GRI3) instead of reading it onto the heap")
 	inspect := fs.String("inspect", "", "existing bundle to validate and summarize")
@@ -118,7 +119,6 @@ func indexBundle(w io.Writer, path string, useMmap bool, out string) error {
 	}
 	defer ix.Close()
 
-	lay := ix.Layout()
 	meta := map[string]interface{}{
 		"file":            path,
 		"dim":             ix.Dim(),
@@ -129,13 +129,7 @@ func indexBundle(w io.Writer, path string, useMmap bool, out string) error {
 		"weightGroups":    ix.WeightGroups(),
 		"gridPartitions":  ix.GridPartitions(),
 		"gridMemoryBytes": ix.GridMemoryBytes(),
-		"format":          ix.Format(),
 		"resident":        ix.Resident(),
-		"layout": map[string]interface{}{
-			"packed":     lay.Packed,
-			"bitsPerDim": lay.BitsPerDim,
-			"rowBlock":   lay.RowBlock,
-		},
 	}
 	flight := map[string]interface{}{"enabled": ix.FlightEnabled()}
 	if ix.FlightEnabled() {

@@ -49,7 +49,6 @@ func runIndexBuild(w io.Writer, args []string) error {
 	products := fs.String("products", "", "product data set file")
 	prefs := fs.String("prefs", "", "preference data set file")
 	grid := fs.Int("grid", 0, "grid partitions per axis (0 = auto)")
-	packedBits := fs.Int("packed-bits", 0, "bit-packed cell rows at this width, 4-8 bits per dimension (0 = float64 layout)")
 	out := fs.String("out", "index.gri", "output index file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -66,32 +65,23 @@ func runIndexBuild(w io.Writer, args []string) error {
 		return err
 	}
 	ix, err := gridrank.New(toVectors(P.Points), toVectors(W.Points),
-		&gridrank.Options{GridPartitions: *grid, PackedBits: *packedBits})
+		&gridrank.Options{GridPartitions: *grid})
 	if err != nil {
 		return err
 	}
 	if err := ix.Save(*out); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "built %s: %d products, %d preferences, dim %d, grid %d, layout %s\n",
-		*out, ix.NumProducts(), ix.NumPreferences(), ix.Dim(), ix.GridPartitions(),
-		layoutString(ix.Layout()))
+	fmt.Fprintf(w, "built %s: %d products, %d preferences, dim %d, grid %d\n",
+		*out, ix.NumProducts(), ix.NumPreferences(), ix.Dim(), ix.GridPartitions())
 	return nil
-}
-
-// layoutString renders an index layout for the build and info verbs.
-func layoutString(lay gridrank.Layout) string {
-	if !lay.Packed {
-		return "float64"
-	}
-	return fmt.Sprintf("packed %d-bit (x%d kernel)", lay.BitsPerDim, lay.RowBlock)
 }
 
 func runIndexInfo(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("info", flag.ContinueOnError)
 	fs.SetOutput(w)
 	path := fs.String("index", "index.gri", "index file")
-	mmap := fs.Bool("mmap", false, "memory-map the file (GRI3) instead of reading it onto the heap")
+	mmap := fs.Bool("mmap", false, "memory-map the file instead of reading it onto the heap")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -104,9 +94,9 @@ func runIndexInfo(w io.Writer, args []string) error {
 		return err
 	}
 	defer ix.Close()
-	fmt.Fprintf(w, "%s: format %s (%s), %d products, %d preferences, dim %d, grid %d, %d point groups, %d weight groups, %d bytes grid memory, layout %s\n",
-		*path, ix.Format(), ix.Resident(), ix.NumProducts(), ix.NumPreferences(), ix.Dim(), ix.GridPartitions(),
-		ix.PointGroups(), ix.WeightGroups(), ix.GridMemoryBytes(), layoutString(ix.Layout()))
+	fmt.Fprintf(w, "%s: format GRI3 (%s), %d products, %d preferences, dim %d, grid %d, %d point groups, %d weight groups, %d bytes grid memory\n",
+		*path, ix.Resident(), ix.NumProducts(), ix.NumPreferences(), ix.Dim(), ix.GridPartitions(),
+		ix.PointGroups(), ix.WeightGroups(), ix.GridMemoryBytes())
 	return nil
 }
 

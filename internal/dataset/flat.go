@@ -1,71 +1,17 @@
 package dataset
 
-// Flat (SoA) dataset reading: the index load path stores rows in one
-// contiguous float64 array (vec.Matrix), so reading through Dataset —
-// one allocation and one copy per row, then a second copy into the flat
-// matrix — pays double. ReadBinaryFlat decodes a GRD1 stream straight
-// into the final backing array: zero per-row allocations, and the only
-// copies are the decode itself plus the geometric growth the
-// untrusted-header policy requires.
-
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
 // FlatSet is a dataset as one contiguous row-major array — the shape
-// vec.MatrixFromFlat adopts without copying.
+// vec.MatrixFromFlat adopts without copying. The index load path
+// validates its matrices through it.
 type FlatSet struct {
 	Dim   int
 	Range float64
-	Data  []float64 // Count()·Dim values, row-major
-}
-
-// Count returns the number of rows.
-func (fs *FlatSet) Count() int { return len(fs.Data) / fs.Dim }
-
-// ReadBinaryFlat reads a data set written by WriteBinary into flat
-// storage. Semantically identical to ReadBinary (same format, same
-// plausibility limits, same error wrapping); only the destination
-// layout differs.
-func ReadBinaryFlat(r io.Reader) (*FlatSet, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 4+4+8+8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
-	}
-	dim := int(binary.LittleEndian.Uint32(hdr[4:]))
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	rng := math.Float64frombits(binary.LittleEndian.Uint64(hdr[16:]))
-	if dim <= 0 || dim > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible dimension %d", ErrBadFormat, dim)
-	}
-	if count > 1<<33 {
-		return nil, fmt.Errorf("%w: implausible count %d", ErrBadFormat, count)
-	}
-	// Grow geometrically rather than trusting the header count: a corrupt
-	// header must not be able to force a huge up-front allocation.
-	initial := count
-	if initial > 1<<16 {
-		initial = 1 << 16
-	}
-	fs := &FlatSet{Dim: dim, Range: rng, Data: make([]float64, 0, initial*uint64(dim))}
-	buf := make([]byte, 8*dim)
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("%w: truncated at point %d: %v", ErrBadFormat, i, err)
-		}
-		for j := 0; j < dim; j++ {
-			fs.Data = append(fs.Data, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:])))
-		}
-	}
-	return fs, nil
+	Data  []float64 // len(Data)/Dim rows, row-major
 }
 
 // Validate checks every attribute lies in [0, Range] and is not NaN —

@@ -1,75 +1,11 @@
 package dataset
 
 import (
-	"bytes"
-	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"gridrank/internal/vec"
 )
-
-// TestReadBinaryFlatMatchesReadBinary proves the flat reader decodes a
-// GRD1 stream to bit-identical values and metadata.
-func TestReadBinaryFlatMatchesReadBinary(t *testing.T) {
-	ds := GenerateProducts(rand.New(rand.NewSource(7)), Clustered, 123, 5, 100)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	stream := buf.Bytes()
-
-	rowwise, err := ReadBinary(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := ReadBinaryFlat(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Dim != rowwise.Dim || flat.Range != rowwise.Range || flat.Count() != len(rowwise.Points) {
-		t.Fatalf("flat header (%d, %v, %d) != rowwise (%d, %v, %d)",
-			flat.Dim, flat.Range, flat.Count(), rowwise.Dim, rowwise.Range, len(rowwise.Points))
-	}
-	for i, p := range rowwise.Points {
-		for j, x := range p {
-			if got := flat.Data[i*flat.Dim+j]; math.Float64bits(got) != math.Float64bits(x) {
-				t.Fatalf("value [%d][%d]: flat %v != rowwise %v", i, j, got, x)
-			}
-		}
-	}
-	if err := flat.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
-// TestReadBinaryFlatRejects pins the flat reader's error behaviour to
-// ReadBinary's: bad magic, truncation, implausible headers.
-func TestReadBinaryFlatRejects(t *testing.T) {
-	ds := GenerateWeights(rand.New(rand.NewSource(3)), Uniform, 20, 4)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	stream := buf.Bytes()
-
-	if _, err := ReadBinaryFlat(bytes.NewReader(stream[:len(stream)/2])); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-	bad := append([]byte(nil), stream...)
-	bad[0] ^= 0xff
-	if _, err := ReadBinaryFlat(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	flat, err := ReadBinaryFlat(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.ValidateWeights(); err != nil {
-		t.Fatalf("ValidateWeights on generated weights: %v", err)
-	}
-}
 
 // TestFlatValidateMessages pins the flat validators to Dataset's
 // messages, so the load path's errors did not change shape when it

@@ -21,7 +21,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("GRD1garbage"))
 	f.Add(valid.Bytes()[:10])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadBinary(bytes.NewReader(data))
+		got, err := readBinary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -39,7 +39,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err := WriteBinary(&buf, got); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		again, err := ReadBinary(&buf)
+		again, err := readBinary(&buf)
 		if err != nil {
 			t.Fatalf("re-parse: %v", err)
 		}

@@ -57,8 +57,8 @@ func WriteBinary(w io.Writer, ds *Dataset) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads a data set written by WriteBinary.
-func ReadBinary(r io.Reader) (*Dataset, error) {
+// readBinary reads a data set written by WriteBinary.
+func readBinary(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	hdr := make([]byte, 4+4+8+8)
 	if _, err := io.ReadFull(br, hdr); err != nil {
@@ -117,7 +117,7 @@ func LoadBinary(path string) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadBinary(f)
+	return readBinary(f)
 }
 
 // WriteCSV writes ds as comma-separated rows, one vector per line, with a

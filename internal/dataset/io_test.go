@@ -31,7 +31,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestBinaryRoundTripEmpty(t *testing.T) {
 	if err := WriteBinary(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 		}(),
 	}
 	for name, data := range cases {
-		if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+		if _, err := readBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s: err = %v, want ErrBadFormat", name, err)
 		}
 	}

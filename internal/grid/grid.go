@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"sync"
 
-	"gridrank/internal/bits"
 	"gridrank/internal/vec"
 )
 
@@ -251,8 +250,7 @@ func (g *Grid) Bounds(pa, wa []uint8) (lower, upper float64) {
 }
 
 // Index pairs a Bounder with the pre-computed approximate vectors of a
-// data set (P^(A) or W^(A) of the paper), stored unpacked for the hot
-// loops; PackRows bit-packs them for storage (Section 3.2).
+// data set (P^(A) or W^(A) of the paper), one byte per cell.
 type Index struct {
 	grid Bounder
 	dim  int
@@ -358,16 +356,3 @@ func (ix *Index) Row(i int) []uint8 {
 // Cells returns the flat cell store (Count()·Dim() bytes, row-major). The
 // scan hot loops slice it directly; callers must not modify it.
 func (ix *Index) Cells() []uint8 { return ix.approx }
-
-// PackRows compresses the approximate vectors element-wise into the
-// fixed-stride PackedRows layout at b bits per cell (1<<b must cover the
-// grid's partition count). Each element's row stays word-aligned — the
-// layout the persist format stores so an mmap-ed file can serve rows in
-// place.
-func (ix *Index) PackRows(b int) *bits.PackedRows {
-	p := bits.NewPackedRows(ix.Count(), ix.dim, b)
-	for i := 0; i < ix.Count(); i++ {
-		p.EncodeRow(i, ix.Row(i))
-	}
-	return p
-}

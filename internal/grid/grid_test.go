@@ -201,48 +201,6 @@ func TestIndexRowsMatchDirectApproximation(t *testing.T) {
 	}
 }
 
-func TestPackUnpackRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{4, 32, 128} {
-		P := dataset.GenerateProducts(rng, dataset.Uniform, 100, 6, 1)
-		g := New(n, 1, 1)
-		ix := NewPointIndex(g, P.Points)
-		packed := ix.PackRows(bitsFor(n))
-		for i := 0; i < ix.Count(); i++ {
-			if !packed.EqualRow(i, ix.Row(i)) {
-				t.Fatalf("n=%d: row %d lost in pack round trip", n, i)
-			}
-		}
-	}
-}
-
-func TestPackedStorageFactor(t *testing.T) {
-	// b/64 of the original float data, Section 3.2's footnote.
-	rng := rand.New(rand.NewSource(5))
-	P := dataset.GenerateProducts(rng, dataset.Uniform, 1000, 20, 1)
-	g := New(64, 1, 1) // b = 6
-	ix := NewPointIndex(g, P.Points)
-	packed := ix.PackRows(bitsFor(g.N()))
-	if packed.BitsPerDim() != 6 {
-		t.Fatalf("n=64 should pack at 6 bits, got %d", packed.BitsPerDim())
-	}
-	floatBytes := 1000 * 20 * 8
-	ratio := float64(8*len(packed.Words())) / float64(floatBytes)
-	if ratio > 6.0/64+0.01 {
-		t.Errorf("storage ratio %v exceeds b/64 = %v", ratio, 6.0/64)
-	}
-}
-
-func TestBitsFor(t *testing.T) {
-	for _, c := range []struct{ n, want int }{
-		{1, 1}, {2, 1}, {3, 2}, {4, 2}, {32, 5}, {64, 6}, {128, 7},
-	} {
-		if got := bitsFor(c.n); got != c.want {
-			t.Errorf("bitsFor(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
 func TestNewIndexPanics(t *testing.T) {
 	g := New(4, 1, 1)
 	mustPanic := func(name string, f func()) {
@@ -262,7 +220,7 @@ func TestNewIndexPanics(t *testing.T) {
 
 // The helpers below are test-side reference implementations: the
 // per-bound Equations 3 and 4 that the fused Bounds must agree with,
-// Section 3.1's three-way classification, and the minimal packed width.
+// and Section 3.1's three-way classification.
 
 // Lower evaluates Equation (3): the lower score bound from approximate
 // vectors pa and wa, using d additions and d table lookups.
@@ -310,14 +268,4 @@ func (g *Grid) Classify(pa, wa []uint8, fq float64) Precedence {
 	default:
 		return Incomparable
 	}
-}
-
-// bitsFor returns ⌈log₂ n⌉, at least 1: the narrowest packed width that
-// encodes n partitions.
-func bitsFor(n int) int {
-	b := 1
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

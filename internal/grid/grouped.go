@@ -10,8 +10,6 @@ package grid
 // element→group map. It is built once per Index and reused by every
 // query.
 
-import "gridrank/internal/bits"
-
 // GroupedIndex partitions the elements of an Index into groups of
 // identical approximate vectors. Groups are numbered by first occurrence
 // (the group of the smallest member index comes first) and each group's
@@ -33,12 +31,6 @@ type GroupedIndex struct {
 	// produces almost exclusively singletons, and the one-load fast path
 	// keeps the grouped scan from paying member-list indirection there.
 	single []int32
-	// packed, when non-nil, holds the unique rows bit-packed at
-	// packed.BitsPerDim() bits per cell in the fixed-stride layout of
-	// bits.PackedRows, one packed row per group in group order. It is a
-	// derived view of rows: Pack populates it, and the copy-on-write
-	// derivations keep it byte-identical to re-encoding the derived rows.
-	packed *bits.PackedRows
 	// canonical records that group numbering still matches what
 	// NewGrouped would produce over the same elements (first-occurrence
 	// order). Fresh builds are canonical and appends preserve it; removals
@@ -146,25 +138,6 @@ func (g *GroupedIndex) Single() []int32 { return g.single }
 func (g *GroupedIndex) Size(gid int) int {
 	return int(g.offsets[gid+1] - g.offsets[gid])
 }
-
-// Pack materializes the unique rows bit-packed at b bits per cell. Every
-// cell value must fit in b bits (callers validate 1<<b ≥ grid partitions
-// before enabling packing). Idempotent for a given b.
-func (g *GroupedIndex) Pack(b int) {
-	if g.packed != nil && g.packed.BitsPerDim() == b {
-		return
-	}
-	d := g.Dim()
-	p := bits.NewPackedRows(g.Groups(), d, b)
-	for gid := 0; gid < g.Groups(); gid++ {
-		p.EncodeRow(gid, g.rows[gid*d:(gid+1)*d])
-	}
-	g.packed = p
-}
-
-// Packed returns the bit-packed unique rows, or nil when Pack has not
-// been called on this grouping (or its ancestor, for derived groupings).
-func (g *GroupedIndex) Packed() *bits.PackedRows { return g.packed }
 
 // Canonical reports whether group numbering matches a fresh NewGrouped
 // build over the same elements.

@@ -108,17 +108,10 @@ func (g *GroupedIndex) WithAppended(nix *Index) *GroupedIndex {
 		ng.members = append(append(make([]int32, 0, count), g.members...), id)
 		ng.groupOf = append(append(make([]int32, 0, count), g.groupOf...), int32(nG))
 		ng.single = append(append(make([]int32, 0, nG+1), g.single...), id)
-		if g.packed != nil {
-			// The packed store mirrors rows: appending the encoded row is
-			// byte-identical to re-encoding the derived row set, because
-			// every packed row is word-aligned with zeroed padding.
-			ng.packed = g.packed.WithAppendedRow(row)
-		}
 		return ng
 	}
 	// Existing group: splice the new id at the end of its member block.
 	ng.rows = g.rows // unchanged, shared across epochs
-	ng.packed = g.packed
 	pos := int(g.offsets[gid+1])
 	ng.members = make([]int32, count)
 	copy(ng.members, g.members[:pos])
@@ -177,14 +170,8 @@ func (g *GroupedIndex) WithRemoved(nix *Index, i int) *GroupedIndex {
 		for k := gid + 1; k < len(ng.offsets); k++ {
 			ng.offsets[k] = g.offsets[k+1] - 1
 		}
-		if g.packed != nil {
-			// Splice the emptied group's packed row out; word-aligned rows
-			// make this byte-identical to re-encoding the derived rows.
-			ng.packed = g.packed.WithRemovedRow(gid)
-		}
 	} else {
 		ng.rows = g.rows
-		ng.packed = g.packed
 		ng.offsets = make([]int32, len(g.offsets))
 		copy(ng.offsets, g.offsets)
 		for k := gid + 1; k < len(ng.offsets); k++ {

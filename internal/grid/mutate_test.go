@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gridrank/internal/bits"
 	"gridrank/internal/vec"
 )
 
@@ -88,17 +87,6 @@ func checkGroupingInvariants(t *testing.T, ix *Index, g *GroupedIndex) {
 			t.Fatalf("group %v members %s, fresh build %s", g.Row(gid), got, fm[string(g.Row(gid))])
 		}
 	}
-	// A packed row store maintained through derivations must be
-	// byte-identical to re-encoding the derived unique rows.
-	if p := g.Packed(); p != nil {
-		want := bits.NewPackedRows(g.Groups(), ix.Dim(), p.BitsPerDim())
-		for gid := 0; gid < g.Groups(); gid++ {
-			want.EncodeRow(gid, g.Row(gid))
-		}
-		if !p.Equal(want) {
-			t.Fatal("derived packed rows differ from re-encoding the derived rows")
-		}
-	}
 }
 
 // TestGroupedMutations drives random insert/delete sequences through
@@ -113,7 +101,6 @@ func TestGroupedMutations(t *testing.T) {
 		points := randPoints(rng, 3+rng.Intn(20), d, rangeP)
 		ix := NewPointIndex(g, points)
 		grouped := NewGrouped(ix)
-		grouped.Pack(4) // n=8 partitions → cells fit in 4 bits
 		for step := 0; step < 25; step++ {
 			if len(points) > 1 && rng.Intn(3) == 0 {
 				i := rng.Intn(len(points))

@@ -2,16 +2,12 @@ package grid
 
 // View constructors for the persist layer: a GRI3 file stores a
 // GroupedIndex's arrays verbatim (unique rows, member order, offsets,
-// element→group map, singleton cache, optional packed rows), so loading
+// element→group map, singleton cache), so loading
 // is reassembly plus validation instead of an O(count) rebuild. All
 // slices are adopted without copying — they may alias mapped memory and
 // must not be modified afterward.
 
-import (
-	"fmt"
-
-	"gridrank/internal/bits"
-)
+import "fmt"
 
 // GroupedFromParts reassembles a GroupedIndex from its stored arrays.
 //
@@ -25,14 +21,13 @@ import (
 // first members strictly increasing across groups (canonical
 // numbering), the singleton cache consistent, members a permutation of
 // [0, Count()), groupOf in agreement with the member blocks, each
-// group's row equal to the element cells of its first member, and the
-// packed rows (if present) equal to re-encoding the unique rows. The
-// heap load path uses strict. The mmap path does not: those passes
+// group's row equal to the element cells of its first member. The heap
+// load path uses strict. The mmap path does not: those passes
 // touch every element and would dominate the load, so it trusts the
 // file the way any mmap-served database does — a corrupted payload
 // surfaces as a bounds-check panic or a wrong answer at query time,
 // never as memory corruption (see LoadMmap).
-func GroupedFromParts(ix *Index, rows []uint8, members, offsets, groupOf, single []int32, packed *bits.PackedRows, strict bool) (*GroupedIndex, error) {
+func GroupedFromParts(ix *Index, rows []uint8, members, offsets, groupOf, single []int32, strict bool) (*GroupedIndex, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("grid: grouped parts without an index")
 	}
@@ -99,11 +94,6 @@ func GroupedFromParts(ix *Index, rows []uint8, members, offsets, groupOf, single
 			}
 		}
 	}
-	if packed != nil {
-		if packed.Count() != groups || packed.Dim() != d {
-			return nil, fmt.Errorf("grid: packed rows shape %d×%d, want %d×%d", packed.Count(), packed.Dim(), groups, d)
-		}
-	}
 	g := &GroupedIndex{
 		ix:        ix,
 		rows:      rows,
@@ -111,7 +101,6 @@ func GroupedFromParts(ix *Index, rows []uint8, members, offsets, groupOf, single
 		offsets:   offsets,
 		groupOf:   groupOf,
 		single:    single,
-		packed:    packed,
 		canonical: true,
 	}
 	if strict {
@@ -146,9 +135,6 @@ func (g *GroupedIndex) verifyStrict() error {
 			if row[j] != elemRow[j] {
 				return fmt.Errorf("grid: group %d row disagrees with element %d cells", gid, first)
 			}
-		}
-		if g.packed != nil && !g.packed.EqualRow(gid, row) {
-			return fmt.Errorf("grid: packed row of group %d disagrees with unpacked row", gid)
 		}
 	}
 	return nil

@@ -4,21 +4,17 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"gridrank/internal/bits"
 )
 
 // partsFixture builds a grouped index with real duplicate structure
-// (quantized attributes force multi-member groups) and packs it, so the
-// reassembly tests exercise every stored array.
+// (quantized attributes force multi-member groups), so the reassembly
+// tests exercise every stored array.
 func partsFixture(t *testing.T) (*Index, *GroupedIndex) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(17))
 	g := New(8, 100, 1)
 	ix := NewPointIndex(g, randomPoints(rng, 120, 3, 100, 4))
-	grp := NewGrouped(ix)
-	grp.Pack(4)
-	return ix, grp
+	return ix, NewGrouped(ix)
 }
 
 // clone32 copies an int32 array so a test can corrupt one field without
@@ -32,7 +28,7 @@ func TestGroupedFromPartsRoundTrip(t *testing.T) {
 	ix, want := partsFixture(t)
 	for _, strict := range []bool{true, false} {
 		got, err := GroupedFromParts(ix, want.Rows(), want.MemberOrder(), want.Offsets(),
-			want.GroupMap(), want.Single(), want.Packed(), strict)
+			want.GroupMap(), want.Single(), strict)
 		if err != nil {
 			t.Fatalf("strict=%v: %v", strict, err)
 		}
@@ -44,8 +40,8 @@ func TestGroupedFromPartsRoundTrip(t *testing.T) {
 			t.Errorf("strict=%v: reassembled index not canonical", strict)
 		}
 		for gid := 0; gid < got.Groups(); gid++ {
-			if !got.Packed().EqualRow(gid, got.Row(gid)) {
-				t.Fatalf("strict=%v: packed row %d diverges", strict, gid)
+			if string(got.Row(gid)) != string(want.Row(gid)) {
+				t.Fatalf("strict=%v: row %d diverges", strict, gid)
 			}
 		}
 	}
@@ -60,7 +56,6 @@ func TestGroupedFromPartsRejects(t *testing.T) {
 	ix, g := partsFixture(t)
 	rows, members, offsets := g.Rows(), g.MemberOrder(), g.Offsets()
 	groupOf, single := g.GroupMap(), g.Single()
-	packed := g.Packed()
 	d := g.Dim()
 	// A group with at least two members (guaranteed: 120 points in at
 	// most 4³ quantized cells).
@@ -75,8 +70,8 @@ func TestGroupedFromPartsRejects(t *testing.T) {
 		t.Fatal("fixture has no multi-member group")
 	}
 
-	try := func(rows []uint8, members, offsets, groupOf, single []int32, p *bits.PackedRows) error {
-		_, err := GroupedFromParts(ix, rows, members, offsets, groupOf, single, p, true)
+	try := func(rows []uint8, members, offsets, groupOf, single []int32) error {
+		_, err := GroupedFromParts(ix, rows, members, offsets, groupOf, single, true)
 		return err
 	}
 	cases := []struct {
@@ -84,56 +79,53 @@ func TestGroupedFromPartsRejects(t *testing.T) {
 		call func() error
 	}{
 		{"nil index", func() error {
-			_, err := GroupedFromParts(nil, rows, members, offsets, groupOf, single, packed, true)
+			_, err := GroupedFromParts(nil, rows, members, offsets, groupOf, single, true)
 			return err
 		}},
 		{"rows not multiple of dim", func() error {
-			return try(rows[:len(rows)-1], members, offsets, groupOf, single, packed)
+			return try(rows[:len(rows)-1], members, offsets, groupOf, single)
 		}},
 		{"more groups than elements", func() error {
-			return try(make([]uint8, (g.Count()+1)*d), members, offsets, groupOf, single, packed)
+			return try(make([]uint8, (g.Count()+1)*d), members, offsets, groupOf, single)
 		}},
 		{"offsets length", func() error {
-			return try(rows, members, offsets[:len(offsets)-1], groupOf, single, packed)
+			return try(rows, members, offsets[:len(offsets)-1], groupOf, single)
 		}},
 		{"member order length", func() error {
-			return try(rows, members[:len(members)-1], offsets, groupOf, single, packed)
+			return try(rows, members[:len(members)-1], offsets, groupOf, single)
 		}},
 		{"singleton cache length", func() error {
-			return try(rows, members, offsets, groupOf, single[:len(single)-1], packed)
+			return try(rows, members, offsets, groupOf, single[:len(single)-1])
 		}},
 		{"offsets span", func() error {
 			o := clone32(offsets)
 			o[len(o)-1]++
-			return try(rows, members, o, groupOf, single, packed)
-		}},
-		{"packed shape", func() error {
-			return try(rows, members, offsets, groupOf, single, bits.NewPackedRows(g.Groups()+1, d, 4))
+			return try(rows, members, o, groupOf, single)
 		}},
 		{"offsets not increasing", func() error {
 			o := clone32(offsets)
 			o[1] = o[2] + 1 // makes group 1's member range negative
-			return try(rows, members, o, groupOf, single, packed)
+			return try(rows, members, o, groupOf, single)
 		}},
 		{"row cell out of grid", func() error {
 			r := append([]uint8(nil), rows...)
 			r[0] = uint8(ix.Grid().N())
-			return try(r, members, offsets, groupOf, single, packed)
+			return try(r, members, offsets, groupOf, single)
 		}},
 		{"first-occurrence order", func() error {
 			m := clone32(members)
 			m[0], m[offsets[1]] = m[offsets[1]], m[0]
-			return try(rows, m, offsets, groupOf, single, packed)
+			return try(rows, m, offsets, groupOf, single)
 		}},
 		{"member out of range", func() error {
 			m := clone32(members)
 			m[len(m)-1] = int32(g.Count())
-			return try(rows, m, offsets, groupOf, single, packed)
+			return try(rows, m, offsets, groupOf, single)
 		}},
 		{"members not ascending", func() error {
 			m := clone32(members)
 			m[offsets[multi]+1] = m[offsets[multi]]
-			return try(rows, m, offsets, groupOf, single, packed)
+			return try(rows, m, offsets, groupOf, single)
 		}},
 		{"singleton cache wrong", func() error {
 			s := clone32(single)
@@ -142,12 +134,12 @@ func TestGroupedFromPartsRejects(t *testing.T) {
 			} else {
 				s[0] = -1
 			}
-			return try(rows, members, offsets, groupOf, s, packed)
+			return try(rows, members, offsets, groupOf, s)
 		}},
 		{"group map out of range", func() error {
 			gm := clone32(groupOf)
 			gm[0] = int32(g.Groups())
-			return try(rows, members, offsets, gm, single, packed)
+			return try(rows, members, offsets, gm, single)
 		}},
 		{"group map disagrees with blocks", func() error {
 			gm := clone32(groupOf)
@@ -155,27 +147,12 @@ func TestGroupedFromPartsRejects(t *testing.T) {
 			if g.Groups() == 1 {
 				t.Skip("needs two groups")
 			}
-			return try(rows, members, offsets, gm, single, packed)
+			return try(rows, members, offsets, gm, single)
 		}},
 		{"row differs from first member's cells", func() error {
 			r := append([]uint8(nil), rows...)
 			r[0] ^= 1
-			// Re-encode the packed side to match, so rejection must come
-			// from the row-vs-element-cells cross-check, not EqualRow.
-			p := bits.NewPackedRows(g.Groups(), d, 4)
-			for gid := 0; gid < g.Groups(); gid++ {
-				p.EncodeRow(gid, r[gid*d:(gid+1)*d])
-			}
-			return try(r, members, offsets, groupOf, single, p)
-		}},
-		{"packed rows disagree with unpacked", func() error {
-			r := append([]uint8(nil), rows...)
-			r[0] ^= 1
-			p := bits.NewPackedRows(g.Groups(), d, 4)
-			for gid := 0; gid < g.Groups(); gid++ {
-				p.EncodeRow(gid, r[gid*d:(gid+1)*d])
-			}
-			return try(rows, members, offsets, groupOf, single, p)
+			return try(r, members, offsets, groupOf, single)
 		}},
 	}
 	for _, c := range cases {
@@ -197,10 +174,10 @@ func TestGroupedFromPartsTrustedSkipsContent(t *testing.T) {
 	ix, g := partsFixture(t)
 	gm := clone32(g.GroupMap())
 	gm[0] = int32(g.Groups()) // out of range: strict rejects, trusted must not scan it
-	if _, err := GroupedFromParts(ix, g.Rows(), g.MemberOrder(), g.Offsets(), gm, g.Single(), nil, true); err == nil {
+	if _, err := GroupedFromParts(ix, g.Rows(), g.MemberOrder(), g.Offsets(), gm, g.Single(), true); err == nil {
 		t.Fatal("strict path accepted an out-of-range group map")
 	}
-	if _, err := GroupedFromParts(ix, g.Rows(), g.MemberOrder(), g.Offsets(), gm, g.Single(), nil, false); err != nil {
+	if _, err := GroupedFromParts(ix, g.Rows(), g.MemberOrder(), g.Offsets(), gm, g.Single(), false); err != nil {
 		t.Fatalf("non-strict path rejected a content-level corruption it documents trusting: %v", err)
 	}
 }

@@ -92,36 +92,6 @@ type Registry struct {
 	// recorder's digest counters.
 	flightMu     sync.Mutex
 	flightSource func() FlightCounts
-
-	// layout, when set, labels gridrank_build_info with the index's
-	// physical scan layout (packed row width, kernel row block).
-	layoutMu sync.Mutex
-	layout   *Layout
-}
-
-// Layout describes the index's physical scan representation for the
-// gridrank_build_info labels. The field meanings match the root
-// package's Layout; the duplicate type keeps the import graph acyclic,
-// as with TraceCounts.
-type Layout struct {
-	Packed     bool // rows stored bit-packed rather than as float64 cells
-	BitsPerDim int  // bits per dimension when packed, 0 otherwise
-	RowBlock   int  // rows classified per kernel call (1 when unpacked)
-}
-
-// SetLayout records the index's scan layout, surfaced as labels on
-// gridrank_build_info. Layout is fixed at build time, so this is set
-// once at server start.
-func (r *Registry) SetLayout(l Layout) {
-	r.layoutMu.Lock()
-	r.layout = &l
-	r.layoutMu.Unlock()
-}
-
-func (r *Registry) layoutLabels() *Layout {
-	r.layoutMu.Lock()
-	defer r.layoutMu.Unlock()
-	return r.layout
 }
 
 // TraceCounts is the tracing subsystem's counter snapshot, polled at
@@ -697,7 +667,7 @@ func (r *Registry) WriteExposition(w io.Writer, openMetrics bool) error {
 		b.printf("gridrank_sub_prefs_diff_full_cost_total %d\n", sc.PrefsDiffFullCost)
 	}
 
-	writeRuntimeTelemetry(b, r.layoutLabels())
+	writeRuntimeTelemetry(b)
 	if openMetrics {
 		b.printf("# EOF\n")
 	}
@@ -723,19 +693,10 @@ var buildInfoOnce = sync.OnceValues(func() (goVersion, modVersion string) {
 // scrape time. runtime.ReadMemStats is a brief stop-the-world, which at
 // scrape cadence (seconds to minutes) is noise; in exchange there is no
 // background goroutine and no staleness.
-func writeRuntimeTelemetry(b *expoWriter, lay *Layout) {
+func writeRuntimeTelemetry(b *expoWriter) {
 	goVersion, modVersion := buildInfoOnce()
 	b.family("gridrank_build_info", "gauge", "Build metadata; the value is always 1.")
-	if lay != nil {
-		layout := "float64"
-		if lay.Packed {
-			layout = "packed"
-		}
-		b.printf("gridrank_build_info{go_version=%q,module_version=%q,layout=%q,packed_bits=\"%d\",row_block=\"%d\"} 1\n",
-			goVersion, modVersion, layout, lay.BitsPerDim, lay.RowBlock)
-	} else {
-		b.printf("gridrank_build_info{go_version=%q,module_version=%q} 1\n", goVersion, modVersion)
-	}
+	b.printf("gridrank_build_info{go_version=%q,module_version=%q} 1\n", goVersion, modVersion)
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -151,7 +151,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	}
 
 	frec := httptest.NewRecorder()
-	s.ServeHTTP(frec, httptest.NewRequest(http.MethodGet, "/debug/flight", nil))
+	s.AdminHandler().ServeHTTP(frec, httptest.NewRequest(http.MethodGet, "/debug/flight", nil))
 	if frec.Code != http.StatusOK {
 		t.Fatalf("GET /debug/flight: %d", frec.Code)
 	}
@@ -178,6 +178,33 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugRoutesAdminOnly pins where the forensic routes live: each
+// one is a 404 on the public handler, which faces API clients, and is
+// served by AdminHandler, which rrqserver mounts on its operator
+// listener.
+func TestDebugRoutesAdminOnly(t *testing.T) {
+	s := tracedServer(t, Config{TraceSampleRate: 1})
+	rec := post(t, s, "/v1/reverse-topk", map[string]interface{}{"product": 2, "k": 5})
+	var resp struct {
+		TraceID string `json:"trace_id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.TraceID == "" {
+		t.Fatalf("sampled query returned no trace id: %s (%v)", rec.Body.String(), err)
+	}
+	for _, path := range []string{"/debug/traces", "/debug/traces/" + resp.TraceID, "/debug/flight", "/debug/bundle"} {
+		pub := httptest.NewRecorder()
+		s.ServeHTTP(pub, httptest.NewRequest(http.MethodGet, path, nil))
+		if pub.Code != http.StatusNotFound {
+			t.Errorf("public GET %s: %d, want 404", path, pub.Code)
+		}
+		adm := httptest.NewRecorder()
+		s.AdminHandler().ServeHTTP(adm, httptest.NewRequest(http.MethodGet, path, nil))
+		if adm.Code != http.StatusOK {
+			t.Errorf("admin GET %s: %d, want 200", path, adm.Code)
+		}
+	}
+}
+
 // TestDebugBundle fetches the diagnostics bundle and validates it the
 // way rrqdiag would: read the tar.gz, check the manifest hashes both
 // ways, and spot-check each artifact is the real thing — the metrics
@@ -187,7 +214,7 @@ func TestDebugBundle(t *testing.T) {
 	post(t, s, "/v1/reverse-topk", map[string]interface{}{"product": 2, "k": 5})
 
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/bundle", nil))
+	s.AdminHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/bundle", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /debug/bundle: %d", rec.Code)
 	}
@@ -302,7 +329,7 @@ func TestOTLPExportThroughServer(t *testing.T) {
 	}
 
 	brec := httptest.NewRecorder()
-	s.ServeHTTP(brec, httptest.NewRequest(http.MethodGet, "/debug/bundle", nil))
+	s.AdminHandler().ServeHTTP(brec, httptest.NewRequest(http.MethodGet, "/debug/bundle", nil))
 	_, files, err := diag.ReadBundle(bytes.NewReader(brec.Body.Bytes()))
 	if err != nil {
 		t.Fatalf("bundle after drain: %v", err)

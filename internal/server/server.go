@@ -10,10 +10,6 @@
 //	GET  /healthz            liveness
 //	GET  /metrics            Prometheus/OpenMetrics exposition (see internal/metrics;
 //	                         Accept: application/openmetrics-text gets exemplars + # EOF)
-//	GET  /debug/traces       recent query traces, newest first (see internal/trace)
-//	GET  /debug/traces/{id}  one stored trace with its full span tree
-//	GET  /debug/flight       the flight recorder's digest ring, newest first
-//	GET  /debug/bundle       one-shot diagnostics bundle (tar.gz, see internal/diag)
 //	GET  /v1/index           index metadata (incl. maxParallelism, queryTimeoutMs)
 //	POST /v1/reverse-topk    {"query":[...]|"product":i, "k":100, "parallelism":4, "stats":true, "timeoutMs":500}
 //	POST /v1/reverse-kranks  {"query":[...]|"product":i, "k":10, "parallelism":4, "stats":true, "timeoutMs":500}
@@ -29,6 +25,15 @@
 //	POST   /v1/subscriptions             register a continuous monitor (see sub.go)
 //	GET    /v1/subscriptions/{id}/events SSE stream of enter/leave events
 //	DELETE /v1/subscriptions/{id}        end a subscription
+//
+// The forensic routes expose goroutine dumps, traces and configuration,
+// so they are not on the public handler: AdminHandler serves them, for
+// mounting on an operator-only listener.
+//
+//	GET  /debug/traces       recent query traces, newest first (see internal/trace)
+//	GET  /debug/traces/{id}  one stored trace with its full span tree
+//	GET  /debug/flight       the flight recorder's digest ring, newest first
+//	GET  /debug/bundle       one-shot diagnostics bundle (tar.gz, see internal/diag)
 //
 // Request lifecycle: every query runs under the request's context, with
 // a deadline from the per-request "timeoutMs" field (falling back to
@@ -46,7 +51,7 @@
 // remote trace ID is reused and always sampled); sampled responses
 // carry a "trace_id" field and a traceparent response header, and slow
 // queries are logged and always captured regardless of the sampling
-// coin. Completed traces are served by the /debug/traces endpoints.
+// coin. Completed traces are served by the admin /debug/traces endpoints.
 package server
 
 import (
@@ -178,6 +183,7 @@ type Config struct {
 type Server struct {
 	ix             *gridrank.Index
 	mux            *http.ServeMux
+	admin          *http.ServeMux // the /debug routes; see AdminHandler
 	maxParallelism int
 	queryTimeout   time.Duration
 	maxBatch       int
@@ -312,14 +318,10 @@ func NewWithConfig(ix *gridrank.Index, cfg Config) *Server {
 	if tracer.Enabled() {
 		ix.SetSubscriptionTracer(tracer)
 	}
-	// Layout is fixed at build time, so the labels are set once here.
-	lay := ix.Layout()
-	cfg.Metrics.SetLayout(metrics.Layout{
-		Packed: lay.Packed, BitsPerDim: lay.BitsPerDim, RowBlock: lay.RowBlock,
-	})
 	s := &Server{
 		ix:             ix,
 		mux:            http.NewServeMux(),
+		admin:          http.NewServeMux(),
 		maxParallelism: cfg.MaxParallelism,
 		queryTimeout:   cfg.QueryTimeout,
 		maxBatch:       cfg.MaxBatch,
@@ -346,10 +348,6 @@ func NewWithConfig(ix *gridrank.Index, cfg Config) *Server {
 	}
 	s.mux.HandleFunc("/healthz", s.instrument(epHealthz, s.handleHealth))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
-	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
-	s.mux.HandleFunc("GET /debug/bundle", s.handleBundle)
 	s.mux.HandleFunc("/v1/index", s.instrument(epIndex, s.handleIndex))
 	s.mux.HandleFunc("/v1/reverse-topk", s.instrument(epRTK, s.handleReverseTopK))
 	s.mux.HandleFunc("/v1/reverse-kranks", s.instrument(epRKR, s.handleReverseKRanks))
@@ -370,13 +368,24 @@ func NewWithConfig(ix *gridrank.Index, cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/subscriptions", s.instrument(epSubs, s.handleSubscribe))
 	s.mux.HandleFunc("GET /v1/subscriptions/{id}/events", s.instrument(epSubs, s.handleSubscriptionEvents))
 	s.mux.HandleFunc("DELETE /v1/subscriptions/{id}", s.instrument(epSubs, s.handleUnsubscribe))
+	s.admin.HandleFunc("GET /debug/traces", s.handleTraces)
+	s.admin.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
+	s.admin.HandleFunc("GET /debug/flight", s.handleFlight)
+	s.admin.HandleFunc("GET /debug/bundle", s.handleBundle)
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler for the public API.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
+
+// AdminHandler serves the forensic /debug routes (traces, flight
+// recorder, diagnostics bundle). They reveal goroutine stacks, query
+// traces and server configuration, so mount this handler only on a
+// listener operators alone can reach — rrqserver puts it on
+// -pprof-addr — never next to ServeHTTP.
+func (s *Server) AdminHandler() http.Handler { return s.admin }
 
 // Metrics returns the server's registry, for sharing or testing.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
@@ -612,14 +621,7 @@ func (s *Server) indexMeta() map[string]interface{} {
 		"maxBatch":        s.maxBatch,
 		"queryTimeoutMs":  s.queryTimeout.Milliseconds(),
 		"cacheEnabled":    s.ix.CacheEnabled(),
-		"format":          s.ix.Format(),
 		"resident":        s.ix.Resident(),
-	}
-	lay := s.ix.Layout()
-	meta["layout"] = map[string]interface{}{
-		"packed":     lay.Packed,
-		"bitsPerDim": lay.BitsPerDim,
-		"rowBlock":   lay.RowBlock,
 	}
 	if cs, ok := s.ix.CacheStats(); ok {
 		meta["cacheSize"] = cs.Size

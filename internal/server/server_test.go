@@ -69,8 +69,13 @@ func TestIndexMetadata(t *testing.T) {
 	if int(meta["dim"].(float64)) != 4 {
 		t.Errorf("dim = %v", meta["dim"])
 	}
-	if meta["format"] != "GRI3" || meta["resident"] != "heap" {
-		t.Errorf("format/resident = %v/%v, want GRI3/heap", meta["format"], meta["resident"])
+	if meta["resident"] != "heap" {
+		t.Errorf("resident = %v, want heap", meta["resident"])
+	}
+	for _, gone := range []string{"format", "layout"} {
+		if _, ok := meta[gone]; ok {
+			t.Errorf("metadata still carries the retired %q key", gone)
+		}
 	}
 	// POST must be rejected.
 	rec = post(t, s, "/v1/index", map[string]int{})

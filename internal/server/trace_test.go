@@ -53,7 +53,7 @@ func postTraceparent(t *testing.T, s *Server, path, traceparent string, body int
 func getTrace(t *testing.T, s *Server, id string, want int) *trace.TraceData {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces/"+id, nil))
+	s.AdminHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces/"+id, nil))
 	if rec.Code != want {
 		t.Fatalf("GET /debug/traces/%s: %d (want %d): %s", id, rec.Code, want, rec.Body.String())
 	}
@@ -70,7 +70,7 @@ func getTrace(t *testing.T, s *Server, id string, want int) *trace.TraceData {
 func listTraces(t *testing.T, s *Server) tracesResponse {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+	s.AdminHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /debug/traces: %d", rec.Code)
 	}

@@ -4,7 +4,7 @@ package vec
 // bytes as typed slices. The GRI3 index format stores every section as
 // fixed-stride little-endian machine words at 8-byte-aligned offsets,
 // so on a little-endian host a mapped (or heap-read) file region *is*
-// the []float64 / []int32 / []uint64 the algorithms want — zero copies.
+// the []float64 / []int32 the algorithms want — zero copies.
 // Each cast reports whether the reinterpretation is legal; when it is
 // not (misaligned base pointer, or a big-endian host) the caller falls
 // back to the element-wise decode helpers below, which always work at
@@ -58,18 +58,6 @@ func CastInt32s(b []byte) (vals []int32, ok bool) {
 	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4), true
 }
 
-// CastUint64s reinterprets b as little-endian uint64 values without
-// copying; see CastFloat64s.
-func CastUint64s(b []byte) (vals []uint64, ok bool) {
-	if !hostLittleEndian || len(b)%8 != 0 || !aligned(b, 8) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8), true
-}
-
 // Float64Bytes reinterprets vals as their little-endian byte image
 // without copying. ok is false on a big-endian host; callers then fall
 // back to EncodeFloat64s. (Go float64 slices are always 8-byte aligned,
@@ -93,18 +81,6 @@ func Int32Bytes(vals []int32) (b []byte, ok bool) {
 		return nil, true
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*4), true
-}
-
-// Uint64Bytes reinterprets vals as little-endian bytes; see
-// Float64Bytes.
-func Uint64Bytes(vals []uint64) (b []byte, ok bool) {
-	if !hostLittleEndian {
-		return nil, false
-	}
-	if len(vals) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*8), true
 }
 
 // AlignedBytes allocates an n-byte buffer whose base pointer is 8-byte
@@ -138,15 +114,6 @@ func DecodeInt32s(b []byte) []int32 {
 	return vals
 }
 
-// DecodeUint64s is the copying fallback for CastUint64s.
-func DecodeUint64s(b []byte) []uint64 {
-	vals := make([]uint64, len(b)/8)
-	for i := range vals {
-		vals[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return vals
-}
-
 // EncodeFloat64s is the copying fallback for Float64Bytes.
 func EncodeFloat64s(vals []float64) []byte {
 	b := make([]byte, len(vals)*8)
@@ -161,15 +128,6 @@ func EncodeInt32s(vals []int32) []byte {
 	b := make([]byte, len(vals)*4)
 	for i, v := range vals {
 		binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
-	}
-	return b
-}
-
-// EncodeUint64s is the copying fallback for Uint64Bytes.
-func EncodeUint64s(vals []uint64) []byte {
-	b := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[i*8:], v)
 	}
 	return b
 }

@@ -13,20 +13,15 @@ import (
 func TestCastRoundTrip(t *testing.T) {
 	floats := []float64{0, 1, -1, math.Pi, math.MaxFloat64, math.SmallestNonzeroFloat64}
 	ints := []int32{0, 1, -1, math.MaxInt32, math.MinInt32, 42}
-	words := []uint64{0, 1, math.MaxUint64, 0xdeadbeefcafef00d}
 
 	fb := EncodeFloat64s(floats)
 	ib := EncodeInt32s(ints)
-	ub := EncodeUint64s(words)
 
 	if got := DecodeFloat64s(fb); !equalF64(got, floats) {
 		t.Fatalf("DecodeFloat64s = %v, want %v", got, floats)
 	}
 	if got := DecodeInt32s(ib); !equalI32(got, ints) {
 		t.Fatalf("DecodeInt32s = %v, want %v", got, ints)
-	}
-	if got := DecodeUint64s(ub); !equalU64(got, words) {
-		t.Fatalf("DecodeUint64s = %v, want %v", got, words)
 	}
 
 	if !hostLittleEndian {
@@ -44,11 +39,6 @@ func TestCastRoundTrip(t *testing.T) {
 	if got, ok := CastInt32s(ai); !ok || !equalI32(got, ints) {
 		t.Fatalf("CastInt32s = %v, %v; want %v, true", got, ok, ints)
 	}
-	au := AlignedBytes(len(ub))
-	copy(au, ub)
-	if got, ok := CastUint64s(au); !ok || !equalU64(got, words) {
-		t.Fatalf("CastUint64s = %v, %v; want %v, true", got, ok, words)
-	}
 
 	// Typed slice -> bytes matches the element-wise encoding.
 	if got, ok := Float64Bytes(floats); !ok || !bytes.Equal(got, fb) {
@@ -56,9 +46,6 @@ func TestCastRoundTrip(t *testing.T) {
 	}
 	if got, ok := Int32Bytes(ints); !ok || !bytes.Equal(got, ib) {
 		t.Fatalf("Int32Bytes mismatch (ok=%v)", ok)
-	}
-	if got, ok := Uint64Bytes(words); !ok || !bytes.Equal(got, ub) {
-		t.Fatalf("Uint64Bytes mismatch (ok=%v)", ok)
 	}
 }
 
@@ -92,9 +79,6 @@ func TestCastRejectsMisaligned(t *testing.T) {
 	b := AlignedBytes(24)
 	if _, ok := CastFloat64s(b[1:17]); ok {
 		t.Fatal("CastFloat64s accepted a misaligned base")
-	}
-	if _, ok := CastUint64s(b[4:20]); ok {
-		t.Fatal("CastUint64s accepted a misaligned base")
 	}
 	if _, ok := CastInt32s(b[2:18]); ok {
 		t.Fatal("CastInt32s accepted a misaligned base")
@@ -148,18 +132,6 @@ func equalF64(a, b []float64) bool {
 }
 
 func equalI32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalU64(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
 	}

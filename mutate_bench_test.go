@@ -7,9 +7,7 @@ import (
 	"testing"
 )
 
-// Mutation-throughput benchmarks. The names start with BenchmarkGIR so
-// scripts/bench.sh picks them up into the tracked BENCH_gir.json.
-// Insert/delete pairs keep the index size constant across iterations,
+// Mutation-throughput benchmarks. Insert/delete pairs keep the index size constant across iterations,
 // so ns/op is the steady-state cost of one mutation epoch, not a
 // measurement of a growing index.
 

@@ -666,3 +666,59 @@ func TestBatchOfOneMatchesSingle(t *testing.T) {
 		t.Fatalf("history never exercised the monitors: %+v", subB)
 	}
 }
+
+// TestMutationWrappersMatchCtxAPI mirrors the deprecated-query
+// equivalence harness for the mutation surface: every context-free
+// mutator is a thin wrapper over its Ctx form, so driving two copies of
+// the same index through both forms must leave byte-identical indexes.
+func TestMutationWrappersMatchCtxAPI(t *testing.T) {
+	a, _ := testIndexWithOpts(t, nil)
+	b, _ := testIndexWithOpts(t, nil)
+	bg := context.Background()
+
+	step := func(name string, plain, ctx error) {
+		t.Helper()
+		if plain != nil || ctx != nil {
+			t.Fatalf("%s: plain err %v, ctx err %v", name, plain, ctx)
+		}
+	}
+	p := Vector{0.9, 0.8, 0.7, 0.6, 0.5}
+	w := Vector{0.1, 0.2, 0.3, 0.2, 0.2}
+	_, errA := a.InsertProduct(p)
+	_, errB := b.InsertProductCtx(bg, p)
+	step("InsertProduct", errA, errB)
+	step("DeleteProduct", a.DeleteProduct(2), b.DeleteProductCtx(bg, 2))
+	_, errA = a.InsertPreference(w)
+	_, errB = b.InsertPreferenceCtx(bg, w)
+	step("InsertPreference", errA, errB)
+	step("DeletePreference", a.DeletePreference(5), b.DeletePreferenceCtx(bg, 5))
+	_, errA = a.InsertProducts([]Vector{p, p})
+	_, errB = b.InsertProductsCtx(bg, []Vector{p, p})
+	step("InsertProducts", errA, errB)
+	step("DeleteProducts", a.DeleteProducts([]int{1, 3}), b.DeleteProductsCtx(bg, []int{1, 3}))
+	_, errA = a.InsertPreferences([]Vector{w})
+	_, errB = b.InsertPreferencesCtx(bg, []Vector{w})
+	step("InsertPreferences", errA, errB)
+	step("DeletePreferences", a.DeletePreferences([]int{0}), b.DeletePreferencesCtx(bg, []int{0}))
+
+	var bufA, bufB bytes.Buffer
+	if _, err := a.WriteTo(&bufA); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WriteTo(&bufB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
+		t.Fatal("plain and Ctx mutation sequences serialized different indexes")
+	}
+	// A cancelled context aborts before any epoch is built.
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	epoch := b.Epoch()
+	if _, err := b.InsertProductCtx(cancelled, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled InsertProductCtx: %v", err)
+	}
+	if b.Epoch() != epoch {
+		t.Fatal("cancelled mutation advanced the epoch")
+	}
+}

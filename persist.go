@@ -1,62 +1,28 @@
 package gridrank
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
-	"gridrank/internal/algo"
-	"gridrank/internal/bits"
-	"gridrank/internal/dataset"
 	"gridrank/internal/flight"
 	"gridrank/internal/vec"
 )
 
-// Three index file formats exist, all little endian. Save and WriteTo
-// emit version 3 (GRI3), the zero-copy layout documented in gri3.go:
-// every scan artifact stored page-aligned and checksummed, so Load
-// reassembles the index without rebuilding anything and LoadMmap serves
-// straight from the mapped file.
-//
-// Versions 1 and 2 store only the authoritative data sets (header, two
-// dataset binary blocks, and for version 2 an optional packed-rows
-// section) and rebuild the grid artifacts on load:
-//
-//	magic       uint32  'G''R''I''1' / 'G''R''I''2'
-//	n           uint32  grid partitions
-//	packedBits  uint32  version 2 only: 0 = unpacked, 4..8 = packed width
-//	rangeP      float64
-//	products     dataset binary block
-//	preferences  dataset binary block
-//	packed P^(A) rows (bits.PackedRows block)   — v2, when packedBits > 0
-//
-// Both load transparently (a version-2 packed section is verified
-// byte-for-byte against the rebuilt cells) and re-save as version 3.
+// Save and WriteTo emit GRI3, the zero-copy layout documented in
+// gri3.go: every scan artifact stored page-aligned and checksummed, so
+// Load reassembles the index without rebuilding anything and LoadMmap
+// serves straight from the mapped file. GRI3 is the only readable
+// format; the retired GRI1/GRI2 magics are rejected by name.
 //
 // A mutated index persists exactly like a fresh build over the same data:
 // the mutation paths maintain rangeP with New's derivation (see
 // computeRangeP), and the GRI3 writer re-canonicalizes the weight axis
 // and group numbering when mutations let them drift (see
 // canonicalArtifacts), so Save after any insert/delete sequence produces
-// a file byte-identical to Save of New(current data) with the same layout.
-
-const (
-	indexMagicV1 = 0x31495247 // "GRI1"
-	indexMagic   = 0x32495247 // "GRI2"
-	// indexMagicV3 ("GRI3") lives in gri3.go with its format.
-)
-
-// Format names reported by Index.Format.
-const (
-	formatGRI1 = "GRI1"
-	formatGRI2 = "GRI2"
-	formatGRI3 = "GRI3"
-)
+// a file byte-identical to Save of New(current data).
 
 // ErrBadIndexFile reports a corrupt or foreign index file.
 var ErrBadIndexFile = errors.New("gridrank: bad index file")
@@ -83,116 +49,46 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return writeGRI3(w, ix.snap(), ix.dim)
 }
 
-// ReadIndex deserializes an index written by WriteTo — any format
-// version. GRI3 streams reassemble with full validation; version 1 and
-// 2 streams rebuild the Grid-index and approximate vectors from the
-// stored data sets.
+// ReadIndex deserializes an index written by WriteTo, with full
+// validation of the untrusted stream.
 func ReadIndex(r io.Reader) (*Index, error) {
 	return readIndexSized(r, 0)
 }
 
 // readIndexSized is ReadIndex with an optional trusted total stream
-// size (from Load's stat), which lets the GRI3 reader allocate its
-// image buffer exactly once.
+// size (from Load's stat), which lets the reader allocate its image
+// buffer exactly once. It pulls the full image into one aligned buffer
+// (geometric growth otherwise, so a lying header cannot force a huge
+// allocation) and runs the full-validation parse.
 func readIndexSized(r io.Reader, sizeHint int64) (*Index, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 4+4)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	head := make([]byte, gri3HeaderLen)
+	// The magic alone decides a retired format, however short the file.
+	if _, err := io.ReadFull(r, head[:4]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
 	}
-	magic := binary.LittleEndian.Uint32(hdr[0:])
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	packedBits := 0
-	format := formatGRI1
-	var rangeP float64
-	switch magic {
-	case indexMagicV3:
-		return readIndexV3(br, hdr, sizeHint)
-	case indexMagicV1:
-		// Version 1: no layout field, no packed section. Loads unpacked;
-		// the next Save writes version 3.
-		var raw [8]byte
-		if _, err := io.ReadFull(br, raw[:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-		}
-		rangeP = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
-	case indexMagic:
-		format = formatGRI2
-		var raw [12]byte
-		if _, err := io.ReadFull(br, raw[:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-		}
-		packedBits = int(binary.LittleEndian.Uint32(raw[0:]))
-		rangeP = math.Float64frombits(binary.LittleEndian.Uint64(raw[4:]))
-		if packedBits != 0 && (packedBits < algo.MinPackedBits || packedBits > algo.MaxPackedBits) {
-			return nil, fmt.Errorf("%w: implausible packed width %d", ErrBadIndexFile, packedBits)
-		}
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadIndexFile)
+	if err := checkMagic(head); err != nil {
+		return nil, err
 	}
-	if n < 1 || n > 256 {
-		return nil, fmt.Errorf("%w: implausible partition count %d", ErrBadIndexFile, n)
+	if _, err := io.ReadFull(r, head[4:]); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
 	}
-	if packedBits != 0 && 1<<packedBits < n {
-		return nil, fmt.Errorf("%w: packed width %d cannot encode %d partitions", ErrBadIndexFile, packedBits, n)
-	}
-	if rangeP <= 0 || math.IsNaN(rangeP) || math.IsInf(rangeP, 0) {
-		return nil, fmt.Errorf("%w: implausible range %v", ErrBadIndexFile, rangeP)
-	}
-	// The data sets decode straight into the matrices' flat backing
-	// arrays (one allocation per set, no per-row copies).
-	pset, err := dataset.ReadBinaryFlat(br)
+	h, err := parseGRI3Header(head)
 	if err != nil {
-		return nil, fmt.Errorf("%w: products: %v", ErrBadIndexFile, err)
+		return nil, err
 	}
-	wset, err := dataset.ReadBinaryFlat(br)
+	if sizeHint > 0 && uint64(sizeHint) != h.fileSize {
+		return nil, fmt.Errorf("%w: file is %d bytes, header says %d", ErrBadIndexFile, sizeHint, h.fileSize)
+	}
+	data, err := readGRI3Body(r, head, h.fileSize, sizeHint > 0)
 	if err != nil {
-		return nil, fmt.Errorf("%w: preferences: %v", ErrBadIndexFile, err)
+		return nil, err
 	}
-	if pset.Dim != wset.Dim {
-		return nil, fmt.Errorf("%w: dimension mismatch %d vs %d", ErrBadIndexFile, pset.Dim, wset.Dim)
+	e, dim, err := parseGRI3Image(data, true)
+	if err != nil {
+		return nil, err
 	}
-	// An index is never built over an empty side (New rejects it, and
-	// mutations refuse to delete the last element), so an empty data set
-	// here is corruption, not a degenerate-but-valid file.
-	if pset.Count() == 0 || wset.Count() == 0 {
-		return nil, fmt.Errorf("%w: empty data set", ErrBadIndexFile)
-	}
-	pset.Range = rangeP
-	if err := pset.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-	}
-	if err := wset.ValidateWeights(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
-	}
-	// Same contiguous layout as New: one backing array per set, shared by
-	// the index views and the algorithm.
-	pm := vec.MatrixFromFlat(pset.Data, pset.Dim)
-	wm := vec.MatrixFromFlat(wset.Data, wset.Dim)
-	gir := algo.NewGIRFromMatrices(pm, wm, rangeP, n, algo.Layout{PackedBits: packedBits})
-	if packedBits > 0 {
-		// The stored packed section must match the cells rebuilt from the
-		// data sections exactly: a mismatch means some section was
-		// corrupted in a way its own framing checks missed.
-		stored, err := bits.ReadRows(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: packed rows: %v", ErrBadIndexFile, err)
-		}
-		if stored.BitsPerDim() != packedBits {
-			return nil, fmt.Errorf("%w: packed section width %d, header says %d",
-				ErrBadIndexFile, stored.BitsPerDim(), packedBits)
-		}
-		if !stored.Equal(gir.PointCells().PackRows(packedBits)) {
-			return nil, fmt.Errorf("%w: packed rows disagree with rebuilt cells", ErrBadIndexFile)
-		}
-	}
-	ix := &Index{dim: pset.Dim, format: format, fr: flight.New(0)}
-	ix.cur.Store(&epoch{
-		pm:     pm,
-		wm:     wm,
-		rangeP: rangeP,
-		gir:    gir,
-	})
+	ix := &Index{dim: dim, fr: flight.New(0)}
+	ix.cur.Store(e)
 	return ix, nil
 }
 
@@ -262,16 +158,6 @@ func Load(path string) (*Index, error) {
 		hint = st.Size()
 	}
 	return readIndexSized(f, hint)
-}
-
-// Format returns the on-disk format version the index was loaded from
-// ("GRI1", "GRI2" or "GRI3"); a freshly built index reports "GRI3", the
-// version Save writes.
-func (ix *Index) Format() string {
-	if ix.format == "" {
-		return formatGRI3
-	}
-	return ix.format
 }
 
 // Resident reports where the index's arrays live: "mmap" when they are

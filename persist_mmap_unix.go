@@ -3,7 +3,6 @@
 package gridrank
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"syscall"
@@ -12,7 +11,7 @@ import (
 )
 
 // LoadMmap opens a GRI3 index file by memory-mapping it read-only: the
-// matrices, cell stores, groupings, packed rows and boundary table the
+// matrices, cell stores, groupings and boundary table the
 // queries scan are views straight into the mapping, so opening a
 // multi-gigabyte catalog costs milliseconds and no copies, the OS pages
 // data in on demand and evicts it under pressure, and processes serving
@@ -22,8 +21,7 @@ import (
 //
 // Mutations work normally — copy-on-write epochs allocate their deltas
 // on the heap and leave the mapping untouched. Call Close when the
-// index is no longer needed; Go's finalizers never unmap it. Version 1
-// and 2 files have no mapped form and fall back to the heap loader.
+// index is no longer needed; Go's finalizers never unmap it.
 func LoadMmap(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -34,8 +32,8 @@ func LoadMmap(path string) (*Index, error) {
 	if _, err := f.ReadAt(magic[:], 0); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
 	}
-	if binary.LittleEndian.Uint32(magic[:]) != indexMagicV3 {
-		return Load(path)
+	if err := checkMagic(magic[:]); err != nil {
+		return nil, err
 	}
 	st, err := f.Stat()
 	if err != nil {
@@ -53,7 +51,7 @@ func LoadMmap(path string) (*Index, error) {
 		syscall.Munmap(data)
 		return nil, err
 	}
-	ix := &Index{dim: dim, format: formatGRI3, mapped: [][]byte{data}, fr: flight.New(0)}
+	ix := &Index{dim: dim, mapped: [][]byte{data}, fr: flight.New(0)}
 	ix.cur.Store(e)
 	return ix, nil
 }

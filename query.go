@@ -51,9 +51,6 @@ type queryConfig struct {
 	// servedEpoch, when non-nil, receives the epoch the answer is valid
 	// against (WithServedEpoch).
 	servedEpoch *uint64
-	// reference forces the float64 reference scan layout for this call
-	// (WithLayoutReference), even on an index built with PackedBits.
-	reference bool
 }
 
 // WithWorkers sets the intra-query worker count for a single call,
@@ -107,20 +104,6 @@ func WithTrace(tr *trace.Trace) QueryOption {
 func WithoutCache() QueryOption {
 	return func(cfg *queryConfig) error {
 		cfg.noCache = true
-		return nil
-	}
-}
-
-// WithLayoutReference forces this call to classify cells through the
-// float64 reference layout, even when the index was built with
-// Options.PackedBits and normally scans bit-packed rows. Answers are
-// byte-identical either way — the packed kernel adds the same bound
-// addends in the same order — so the only observable difference is
-// speed. Intended for A/B measurements and for layout-equivalence
-// harnesses; on an unpacked index the option is a no-op.
-func WithLayoutReference() QueryOption {
-	return func(cfg *queryConfig) error {
-		cfg.reference = true
 		return nil
 	}
 }
@@ -260,10 +243,9 @@ func (ix *Index) reverseTopK(ctx context.Context, q Vector, k int, opts []QueryO
 	sp.SetInt("epoch", int64(ep.seq)).End()
 	dig.epoch = ep.seq
 	res, err := ep.gir.ReverseTopKOpts(ctx, q, k, algo.QueryOpts{
-		Workers:   cfg.resolveWorkers(ix),
-		Counters:  c,
-		Trace:     cfg.tr,
-		Reference: cfg.reference,
+		Workers:  cfg.resolveWorkers(ix),
+		Counters: c,
+		Trace:    cfg.tr,
 	})
 	cfg.finish(c)
 	dig.cases(c)
@@ -329,10 +311,9 @@ func (ix *Index) reverseKRanks(ctx context.Context, q Vector, k int, opts []Quer
 	sp.SetInt("epoch", int64(ep.seq)).End()
 	dig.epoch = ep.seq
 	matches, err := ep.gir.ReverseKRanksOpts(ctx, q, k, algo.QueryOpts{
-		Workers:   cfg.resolveWorkers(ix),
-		Counters:  c,
-		Trace:     cfg.tr,
-		Reference: cfg.reference,
+		Workers:  cfg.resolveWorkers(ix),
+		Counters: c,
+		Trace:    cfg.tr,
 	})
 	cfg.finish(c)
 	dig.cases(c)

@@ -2,7 +2,7 @@ package gridrank
 
 // Scale smoke and load benchmarks for the mmap serving path. The smoke
 // is env-gated (it builds a ≥1M-row catalog) and run by the CI
-// scale-smoke job; the benchmarks feed scripts/bench.sh → BENCH_gir.json.
+// scale-smoke job; the benchmarks price the heap and mmap loaders.
 
 import (
 	"context"
@@ -28,7 +28,7 @@ func scaleIndexPath(tb testing.TB, dir string, nP, nW, d int) string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ix, err := New(P, W, &Options{GridPartitions: 32, PackedBits: 6})
+	ix, err := New(P, W, &Options{GridPartitions: 32})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,85 +1,79 @@
 #!/bin/sh
-# bench.sh runs the GIR benchmark suite and records the results in
-# BENCH_gir.json so performance changes are tracked in review, not lost
-# in terminal scrollback.
+# bench.sh runs the scan-kernel micro-benchmarks and records them in
+# BENCH_gir.json, so a kernel change shows up in review with its spread:
+#
+#   internal/algo  BenchmarkClassifyRowD6, BenchmarkClassifyRowD16
+#                  (the Case 1/2 classify loop, one row per call)
+#   internal/vec   BenchmarkDot (Case-3 refinement and f_w(q), d=4..64)
+#   internal/topk  BenchmarkKRankHeap, BenchmarkRankBoundedEarlyExit
+#
+# Each benchmark runs -count=5 times; the file records the median, min
+# and max of ns/op over those runs plus a machine fingerprint (CPU,
+# nproc, GOMAXPROCS, Go version). End-to-end and per-layer numbers are
+# gridbench's job (bash gridbench/run.sh), not this file's.
 #
 # Usage: scripts/bench.sh [-short]
 #
-#   -short   quick smoke run: fewer iterations, skips the distribution
-#            sweep (BenchmarkGIRGroupedSweep skips itself under -short).
-#            Used by the CI bench job.
-#
-# Covered benchmarks: the query-path suite (BenchmarkGIR*) from
-# bench_test.go, parallel_bench_test.go and group_bench_test.go — the
-# grouped acceptance workloads, the paper-parameter RTK/RKR runs, the
-# high-dimensional run and the intra-query parallel sweep — plus the
-# mutation-throughput suite (BenchmarkGIRMutation*) from
-# mutate_bench_test.go: single insert/delete epoch derivation, batch
-# rebuild, mutation latency under concurrent query load, and the
-# subscriber fan-out sweep (BenchmarkGIRMutationSubscriberFanout),
-# which prices the per-epoch subscription diff pass at 0/4/16/64 live
-# monitors — and the
-# tracing-overhead suite (BenchmarkGIRTraceOverhead) from
-# trace_bench_test.go, whose off/sampled sub-benchmarks price the
-# span instrumentation so a regression on the untraced path is caught
-# in review — and the answer-cache suite (BenchmarkGIRCache*,
-# BenchmarkGIRMutationUnderQueryLoadCached) from cache_bench_test.go,
-# which prices the warm-hit path against the uncached scan and reports
-# the achieved hit rate (hit_%) under concurrent mutation churn — and
-# the index-load suite (BenchmarkGIRIndexLoad, BenchmarkGIRIndexLoadMmap)
-# from scale_test.go, which prices opening a saved GRI3 file through the
-# fully validating heap loader against the zero-copy mmap loader; B/op
-# on those is each loader's heap footprint per open index, the proxy
-# for resident memory (the mmap payload lives in the page cache) — and
-# the flight-recorder suite (BenchmarkFlightRecorderOverhead) from
-# flight_bench_test.go, whose off/on sub-benchmarks price the always-on
-# digest ring against a recorder-disabled index. Each
-# entry records ns/op, B/op, allocs/op and any custom metrics the
-# benchmark reports (e.g. filter% for the grouped sweep).
+#   -short   100ms per run instead of 1s (the CI bench job).
 set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME=1s
-SHORT_FLAG=""
 if [ "${1:-}" = "-short" ]; then
-    BENCHTIME=2x
-    SHORT_FLAG="-short"
+    BENCHTIME=100ms
 fi
+COUNT=5
 
 OUT=BENCH_gir.json
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-go test -run '^$' -bench 'BenchmarkGIR|BenchmarkFlightRecorderOverhead' -benchmem -benchtime "$BENCHTIME" \
-    $SHORT_FLAG . | tee "$RAW"
+bench() {
+    go test -run '^$' -bench "$2" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" "$1" | tee -a "$RAW"
+}
+bench ./internal/algo '^BenchmarkClassifyRowD(6|16)$'
+bench ./internal/vec '^BenchmarkDot$'
+bench ./internal/topk '^Benchmark(KRankHeap|RankBoundedEarlyExit)$'
 
-# Parse `go test -bench` lines into JSON. A line looks like:
-#   BenchmarkName-8  	  123	  456 ns/op	  789 B/op	  2 allocs/op	  91.2 filter%
-awk '
-BEGIN { print "{"; print "  \"benchmarks\": ["; first = 1 }
+# Collect ns/op per benchmark name across the -count runs, then print
+# median/min/max. A result line looks like:
+#   BenchmarkDot/d=6-8  	 1000000	  2.5 ns/op	  0 B/op	  0 allocs/op
+awk -v bt="$BENCHTIME" -v count="$COUNT" -v nproc="$(nproc 2>/dev/null || echo 0)" \
+    -v gover="$(go env GOVERSION)" -v maxprocs="${GOMAXPROCS:-}" '
+/^cpu:/ { cpu = substr($0, 6); gsub(/^[ \t]+|"/, "", cpu) }
+/^pkg:/ { pkg = $2 }
 /^Benchmark/ {
     name = $1
-    sub(/-[0-9]+$/, "", name)
-    iters = $2
-    printf "%s    {\"name\": \"%s\", \"iterations\": %s", \
-        (first ? "" : ",\n"), name, iters
-    first = 0
-    for (i = 3; i < NF; i += 2) {
-        unit = $(i + 1)
-        gsub(/[^A-Za-z0-9_%\/]/, "_", unit)
-        gsub(/\//, "_per_", unit)
-        gsub(/%/, "_pct", unit)
-        printf ", \"%s\": %s", unit, $i
+    if (match(name, /-[0-9]+$/)) {
+        procs = substr(name, RSTART + 1)
+        name = substr(name, 1, RSTART - 1)
     }
-    printf "}"
+    if (!(name in n)) { order[++names] = name; pkgOf[name] = pkg }
+    for (i = 3; i < NF; i += 2) {
+        if ($(i + 1) == "ns/op") ns[name, ++n[name]] = $i
+        if ($(i + 1) == "allocs/op") allocs[name] = $i
+    }
 }
-/^cpu:/ { cpu = substr($0, 6); gsub(/^[ \t]+|"/, "", cpu) }
 END {
-    print ""
-    print "  ],"
-    printf "  \"cpu\": \"%s\",\n", cpu
-    printf "  \"benchtime\": \"%s\"\n", BT
+    if (maxprocs == "") maxprocs = (procs == "" ? 1 : procs)
+    print "{"
+    printf "  \"fingerprint\": {\"cpu\": \"%s\", \"nproc\": %s, \"gomaxprocs\": %s, \"go\": \"%s\"},\n", cpu, nproc, maxprocs, gover
+    printf "  \"benchtime\": \"%s\",\n  \"count\": %s,\n  \"benchmarks\": [\n", bt, count
+    for (b = 1; b <= names; b++) {
+        name = order[b]
+        k = n[name]
+        for (i = 1; i <= k; i++) v[i] = ns[name, i] + 0
+        for (i = 2; i <= k; i++) {           # insertion sort, k is tiny
+            x = v[i]
+            for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+            v[j + 1] = x
+        }
+        med = (k % 2) ? v[(k + 1) / 2] : (v[k / 2] + v[k / 2 + 1]) / 2
+        printf "    {\"name\": \"%s\", \"package\": \"%s\", \"runs\": %d, \"ns_per_op\": {\"median\": %s, \"min\": %s, \"max\": %s}, \"allocs_per_op\": %s}%s\n", \
+            name, pkgOf[name], k, med, v[1], v[k], allocs[name] + 0, (b < names ? "," : "")
+    }
+    print "  ]"
     print "}"
-}' BT="$BENCHTIME" "$RAW" > "$OUT"
+}' "$RAW" > "$OUT"
 
 echo "wrote $OUT"

@@ -1,9 +1,8 @@
 #!/bin/sh
 # check_bce.sh fails when the compiler inserts more bounds checks into
-# the hot scan kernels than the recorded budget. The packed classify
-# kernels (classifyPacked4 / classifyPackedRow), the unpacked classify
-# loop, the Dot/Dot2 kernels and the bit-packing primitives run per
-# group per preference — a bounds check that slips into one of them
+# the hot scan kernels than the recorded budget. The classify loop, the
+# Dot/Dot2 kernels and the top-k heap run per group per preference — a
+# bounds check that slips into one of them
 # (say, by reordering an index expression the prover no longer sees
 # through) is a silent performance regression no test catches.
 #
@@ -17,7 +16,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 out=$(go build -gcflags='-d=ssa/check_bce/debug=1' \
-    ./internal/vec ./internal/bits ./internal/topk ./internal/algo 2>&1 |
+    ./internal/vec ./internal/topk ./internal/algo 2>&1 |
     grep -E 'Found Is(In|Slice)Bounds' || true)
 if [ -z "$out" ]; then
     echo "check_bce: no compiler output — toolchain change?" >&2
@@ -38,14 +37,8 @@ check() {
     fi
 }
 
-# gir_packed_widths.go: 4 per kernel x 5 width-specialized kernels, all
-# outer-loop row-word loads (words[oN+wi]); the per-code table loads are
-# check-free via the constant-stride slice window.
-check internal/algo/gir_packed.go 12
-check internal/algo/gir_packed_widths.go 20
 check internal/algo/gir.go 23
 check internal/vec/vec.go 2
-check internal/bits/bits.go 5
 check internal/topk/topk.go 25
 
 if [ "$bad" -ne 0 ]; then

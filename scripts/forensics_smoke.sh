@@ -4,16 +4,21 @@
 # flavors), then exercises the whole forensic surface end to end:
 # /debug/flight must show the traffic, the OpenMetrics scrape must end
 # in `# EOF`, and /debug/bundle — fetched with rrqdiag, which
-# manifest-validates before writing — must inspect cleanly. It is the
-# CI proof that the incident-forensics workflow in README.md works
-# against a live binary, not just in unit tests.
+# manifest-validates before writing — must inspect cleanly. The /debug
+# routes live on the operator listener (-pprof-addr), and the query
+# port must answer them 404. It is the CI proof that the
+# incident-forensics workflow in README.md works against a live binary,
+# not just in unit tests.
 #
-# Usage: scripts/forensics_smoke.sh [addr]   (default 127.0.0.1:18080)
+# Usage: scripts/forensics_smoke.sh [addr [admin-addr]]
+#        (defaults 127.0.0.1:18080 and 127.0.0.1:18081)
 set -eu
 cd "$(dirname "$0")/.."
 
 ADDR="${1:-127.0.0.1:18080}"
+ADMIN_ADDR="${2:-127.0.0.1:18081}"
 BASE="http://$ADDR"
+ADMIN="http://$ADMIN_ADDR"
 WORK=$(mktemp -d)
 SRV_PID=""
 cleanup() {
@@ -27,13 +32,14 @@ echo "== build"
 go build -o "$WORK/rrqserver" ./cmd/rrqserver
 go build -o "$WORK/rrqdiag" ./cmd/rrqdiag
 
-echo "== boot rrqserver on $ADDR"
+echo "== boot rrqserver on $ADDR (admin $ADMIN_ADDR)"
 "$WORK/rrqserver" -demo -np 2000 -nw 1000 -d 4 -addr "$ADDR" \
-    -trace-sample 1 -log off &
+    -pprof-addr "$ADMIN_ADDR" -trace-sample 1 -log off &
 SRV_PID=$!
 
 i=0
-until curl -sf "$BASE/healthz" >/dev/null 2>&1; do
+until curl -sf "$BASE/healthz" >/dev/null 2>&1 &&
+    curl -sf "$ADMIN/debug/flight" >/dev/null 2>&1; do
     i=$((i + 1))
     if [ "$i" -gt 50 ]; then
         echo "FAIL: server never became healthy" >&2
@@ -49,8 +55,15 @@ done
 curl -sf -d '{"product": 1, "k": 5}' "$BASE/v1/reverse-kranks" >/dev/null
 curl -sf -d '{"products": [[1, 2, 3, 4]]}' "$BASE/v1/products" >/dev/null
 
+echo "== forensic routes are not on the query port"
+for path in /debug/flight /debug/bundle /debug/traces; do
+    code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE$path")
+    [ "$code" = 404 ] || {
+        echo "FAIL: query port answered $path with $code, want 404" >&2; exit 1; }
+done
+
 echo "== flight recorder saw the traffic"
-FLIGHT=$(curl -sf "$BASE/debug/flight")
+FLIGHT=$(curl -sf "$ADMIN/debug/flight")
 echo "$FLIGHT" | grep -q '"enabled":true' || {
     echo "FAIL: flight recorder not enabled: $FLIGHT" >&2; exit 1; }
 echo "$FLIGHT" | grep -q '"records":\[{' || {
@@ -66,7 +79,7 @@ curl -sf "$BASE/metrics" | grep -q '# EOF' && {
     echo "FAIL: classic scrape contains # EOF" >&2; exit 1; }
 
 echo "== fetch and validate the diagnostics bundle"
-"$WORK/rrqdiag" -server "$BASE" -out "$WORK/bundle.tar.gz"
+"$WORK/rrqdiag" -server "$ADMIN" -out "$WORK/bundle.tar.gz"
 "$WORK/rrqdiag" -inspect "$WORK/bundle.tar.gz"
 for entry in goroutines.txt metrics.om flight.json traces.json config.json; do
     "$WORK/rrqdiag" -inspect "$WORK/bundle.tar.gz" | grep -q "$entry" || {

@@ -1,8 +1,7 @@
 package gridrank
 
 // BenchmarkGIRTraceOverhead prices the tracing instrumentation on the
-// query path (picked up by scripts/bench.sh's BenchmarkGIR filter, so
-// the numbers are tracked in BENCH_gir.json):
+// query path:
 //
 //   - off:     the entrypoint with a nil trace, i.e. every instrumented
 //     call site paying the nil-receiver check. This is what an unsampled
